@@ -7,12 +7,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as _gamma
 
 from .cumulants import cumulants
 from .exponents import psi_gts
-from .inversion import DensityGrid, GridSpec, NormalizationError, default_xi_max, invert_cf
+from .inversion import (GridSpec, InversionPlan, NormalizationError, alias_free_points,
+                        default_xi_max)
 from .params import PARAM_NAMES, GtsParams
 
 PDF_FLOOR = 1e-300  # keeps log f finite when a tail point underflows the grid
@@ -61,31 +63,45 @@ class FitTrace:
         return self.states[-1]
 
 
-def _grid_density(p: GtsParams, g: GridSpec) -> DensityGrid:
-    return invert_cf(lambda xi: psi_gts(xi, p), g)
-
-
-def log_likelihood(data, p: GtsParams, g: GridSpec) -> float:
-    """l(data; p) = sum_j log f(data_j) with f from one CF inversion on g.
-
-    The pdf is interpolated monotone-cubically at each observation and
-    floored at 1e-300 before the log.  If the data exceed the grid's x-range
-    the range is expanded for this evaluation.
-    """
+def _check_data(data) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("data must be non-empty")
     if not np.isfinite(data).all():
         raise ValueError("data must be finite")
+    return data
+
+
+def _plan_for(data: np.ndarray, g: GridSpec | InversionPlan) -> InversionPlan:
+    """The inversion plan of ``g``; a new one with the x-range expanded by
+    10% padding when the data exceed it."""
+    grid = g.grid if isinstance(g, InversionPlan) else g
+    lo, hi = float(data.min()), float(data.max())
+    if lo < grid.x_min or hi > grid.x_max:
+        pad = 0.1 * (grid.x_max - grid.x_min)
+        return InversionPlan(grid.with_range(min(lo - pad, grid.x_min),
+                                             max(hi + pad, grid.x_max)))
+    return g if isinstance(g, InversionPlan) else InversionPlan(grid)
+
+
+def log_likelihood(data, p: GtsParams, g: GridSpec | InversionPlan) -> float:
+    """l(data; p) = sum_j log f(data_j) with f from one CF inversion on g.
+
+    ``g`` is a GridSpec, or an InversionPlan built from one: ``fit`` plans
+    its grid once and passes the plan to every evaluation, which then costs
+    one exponent evaluation, two FFTs and one interpolant.  The pdf is
+    interpolated monotone-cubically at each observation and floored at
+    1e-300 before the log.  If the data exceed the grid's x-range the range
+    is expanded for this evaluation.
+    """
+    data = _check_data(data)
     if p.alpha_plus + p.alpha_minus <= 0.0:
         raise ValueError("degenerate parameters: both jump intensities are zero")
-    lo, hi = float(data.min()), float(data.max())
-    if lo < g.x_min or hi > g.x_max:
-        pad = 0.1 * (g.x_max - g.x_min)
-        g = g.with_range(min(lo - pad, g.x_min), max(hi + pad, g.x_max))
-    d = _grid_density(p, g)
-    pdf = np.maximum(d.pdf_at(data), PDF_FLOOR)
-    return float(np.sum(np.log(pdf)))
+    plan = _plan_for(data, g)
+    pdf, _ = plan.pdf(np.exp(psi_gts(plan.xi_half, p)))
+    f = PchipInterpolator(plan.x, pdf, extrapolate=False)(data)
+    f = np.nan_to_num(f, nan=0.0, posinf=0.0, neginf=0.0)
+    return float(np.sum(np.log(np.maximum(f, PDF_FLOOR))))
 
 
 def _fd_steps(v: np.ndarray, max_shrinks: int = 5) -> np.ndarray:
@@ -114,8 +130,10 @@ def _fd_steps(v: np.ndarray, max_shrinks: int = 5) -> np.ndarray:
     return h
 
 
-def score_and_hessian(data, p: GtsParams, g: GridSpec, loglik_fn=None):
+def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan, loglik_fn=None):
     """Central-difference gradient and symmetrized Hessian of log_likelihood.
+
+    ``g`` is passed unchanged to every likelihood evaluation of the stencil.
 
     Step per coordinate: 1e-4 * max(|V_j|, 1e-2), halved near domain
     boundaries (StepCollision after 5 shrinks).  The Hessian uses the
@@ -229,17 +247,20 @@ def fit_grid(data, init: GtsParams, n_points: int = 16384) -> GridSpec:
     """One frozen grid reused by every likelihood evaluation of a fit: the
     x-range covers both the initial law's mean +- 15 sd and the data with
     margin; the frequency cutoff gets a 1.5x safety factor so the grid stays
-    valid as the parameters move."""
+    valid as the parameters move.  ``n_points`` is a floor: like
+    ``default_grid``, the count is doubled until the alias period covers 1.5x
+    the x-window."""
     data = np.asarray(data, dtype=float)
     k = cumulants(init, 2)
     sd = float(np.sqrt(k[2]))
     lo = min(k[1] - 15.0 * sd, float(data.min()) - 2.0 * sd)
     hi = max(k[1] + 15.0 * sd, float(data.max()) + 2.0 * sd)
     xi_max = 1.5 * default_xi_max(lambda xi: psi_gts(xi, init))
-    return GridSpec(n_points=n_points, x_min=lo, x_max=hi, xi_max=xi_max)
+    n = alias_free_points(n_points, xi_max, hi - lo)
+    return GridSpec(n_points=n, x_min=lo, x_max=hi, xi_max=xi_max)
 
 
-def _try_likelihood(data, v: np.ndarray, g: GridSpec):
+def _try_likelihood(data, v: np.ndarray, g: InversionPlan):
     """Candidate evaluation for the line search; None marks an infeasible point."""
     try:
         cand = GtsParams.from_vector(v)
@@ -269,19 +290,22 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     interpolates between Newton (small tau) and scaled gradient ascent
     (large tau).  tau grows tenfold until a step is accepted; a plain
     gradient-ascent step is the last resort before the fit is declared stuck.
+
+    The grid (``fit_grid`` unless ``g`` is given, expanded to cover the data)
+    is planned once per fit: every likelihood evaluation reuses one
+    InversionPlan.
     """
-    data = np.asarray(data, dtype=float)
-    if g is None:
-        g = fit_grid(data, init)
+    data = _check_data(data)
+    plan = _plan_for(data, fit_grid(data, init) if g is None else g)
 
     states: list[FitState] = []
     p = init
-    l_cur = log_likelihood(data, p, g)
+    l_cur = log_likelihood(data, p, plan)
 
     def line_search(v0: np.ndarray, direction: np.ndarray):
         t = 1.0
         for _ in range(max_halvings + 1):
-            cand, l_new = _try_likelihood(data, v0 + t * direction, g)
+            cand, l_new = _try_likelihood(data, v0 + t * direction, plan)
             if cand is not None and l_new > l_cur:
                 return cand, l_new
             t *= 0.5
@@ -291,7 +315,7 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
         """LU solve; None when a pivot is numerically zero (rel < 1e-12)."""
         try:
             lu, piv = lu_factor(mat)
-        except Exception:
+        except ValueError:  # LinAlgError, or non-finite entries
             return None
         diag = np.abs(np.diag(lu))
         if diag.min() < 1e-12 * max(diag.max(), 1.0):
@@ -299,7 +323,7 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
         return lu_solve((lu, piv), rhs)
 
     for it in range(max_iter + 1):
-        grad, hess = score_and_hessian(data, p, g)
+        grad, hess = score_and_hessian(data, p, plan)
         gn = float(np.linalg.norm(grad))
         me = max_eigenvalue(hess)
         states.append(FitState(p, l_cur, grad, hess, gn, me, it))

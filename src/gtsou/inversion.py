@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .frft import frft
+from .frft import FrftPlan
 
 
 class NormalizationError(ArithmeticError):
@@ -130,6 +130,65 @@ def quantile(d: DensityGrid, u):
     return float(out) if u_arr.ndim == 0 else out
 
 
+def half_frequencies(g: GridSpec) -> np.ndarray:
+    """The nonnegative half of the grid's frequency nodes, where the
+    characteristic function is evaluated; xi[k] = -xi[n-1-k] mirrors it, and
+    n is even, so the origin is not a node."""
+    return np.linspace(-g.xi_max, g.xi_max, g.n_points)[g.n_points // 2:]
+
+
+class InversionPlan:
+    """Every array of the inversion that depends only on the grid.
+
+    Built once per GridSpec: the x nodes, the half frequency grid, the
+    end-corrected weights, the x_min shift phase, the xi_max post-phase and
+    the FRFT plan.  ``pdf`` then costs two FFTs, so a fit that evaluates
+    many laws on one grid pays for the grid once.
+    """
+
+    def __init__(self, g: GridSpec):
+        n = g.n_points
+        xi = np.linspace(-g.xi_max, g.xi_max, n)
+        x = np.linspace(g.x_min, g.x_max, n)
+        dxi = xi[1] - xi[0]
+        dx = x[1] - x[0]
+        self.grid = g
+        self.x = x
+        self.dx = dx
+        self.xi_half = xi[n // 2:]
+        self.weights = end_corrected_weights(n)
+        self.shift = np.exp(-1j * g.x_min * np.arange(n) * dxi)
+        self.post = np.exp(1j * g.xi_max * x)
+        self.scale = dxi / (2.0 * np.pi)
+        self.frft = FrftPlan(n, dx * dxi / (2.0 * np.pi))
+        for arr in (self.x, self.xi_half, self.weights, self.shift, self.post):
+            arr.setflags(write=False)
+
+    def pdf(self, cf_half) -> tuple:
+        """(pdf on ``x``, raw mass) from the characteristic function on
+        ``xi_half``: clipped nonnegative and renormalized to unit trapezoid
+        mass.  Raises NormalizationError when the raw mass deviates from 1 by
+        more than 1e-3."""
+        g = self.grid
+        n = g.n_points
+        half = n // 2
+        cf = np.empty(n, dtype=complex)
+        cf[half:] = cf_half
+        cf[:half] = np.conj(cf[half:][::-1])
+
+        seq = self.weights * cf * self.shift
+        pdf = self.scale * np.real(self.post * self.frft(seq))
+
+        pdf = np.where(pdf < 0.0, 0.0, pdf)  # FRFT ringing is tiny by contract
+        mass = float(np.trapezoid(pdf, self.x))
+        if abs(mass - 1.0) > 1e-3:
+            raise NormalizationError(
+                f"density mass {mass:.6f} deviates from 1 by more than 1e-3 "
+                f"(xi_max={g.xi_max:g}, x-range [{g.x_min:g}, {g.x_max:g}])"
+            )
+        return pdf / mass, mass
+
+
 def invert_cf(exponent, g: GridSpec) -> DensityGrid:
     """Recover the density f(x) = (1/2pi) integral cf(xi) e^(-i x xi) dxi.
 
@@ -137,36 +196,19 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
     function; it must satisfy exponent(0)=0 and Hermitian symmetry (only the
     nonnegative half is evaluated, the rest is mirrored).  The oscillatory
     integral is evaluated as an end-corrected trapezoid sum collapsed onto
-    the x grid by one fractional FFT.
+    the x grid by one fractional FFT, through a one-shot InversionPlan.
 
     Raises NormalizationError if the recovered mass deviates from 1 by more
     than 1e-3; tiny negative ringing lobes are clipped to zero and the grid
     renormalized.
     """
-    n = g.n_points
-    xi = np.linspace(-g.xi_max, g.xi_max, n)
-    x = np.linspace(g.x_min, g.x_max, n)
-    dxi = xi[1] - xi[0]
-    dx = x[1] - x[0]
-
-    half = n // 2  # xi[k] = -xi[n-1-k]; n even, so the origin is not a node
-    cf = np.empty(n, dtype=complex)
-    cf[half:] = np.exp(exponent(xi[half:]))
-    cf[:half] = np.conj(cf[half:][::-1])
-
-    w = end_corrected_weights(n)
-    seq = w * cf * np.exp(-1j * g.x_min * np.arange(n) * dxi)
-    a = dx * dxi / (2.0 * np.pi)
-    pdf = (dxi / (2.0 * np.pi)) * np.real(np.exp(1j * g.xi_max * x) * frft(seq, a))
-
-    pdf = np.where(pdf < 0.0, 0.0, pdf)  # FRFT ringing is tiny by contract
-    mass = float(np.trapezoid(pdf, x))
-    if abs(mass - 1.0) > 1e-3:
-        raise NormalizationError(
-            f"density mass {mass:.6f} deviates from 1 by more than 1e-3 "
-            f"(xi_max={g.xi_max:g}, x-range [{g.x_min:g}, {g.x_max:g}])"
-        )
-    pdf = pdf / mass
+    # the exponent runs before the plan exists and the interpolants are built
+    # after it is gone, so the plan's arrays never add to either peak
+    cf_half = np.exp(exponent(half_frequencies(g)))
+    plan = InversionPlan(g)
+    pdf, mass = plan.pdf(cf_half)
+    x, dx = plan.x, plan.dx
+    del cf_half, plan
 
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
     cdf = np.minimum(cdf / cdf[-1], 1.0)
@@ -224,12 +266,20 @@ def default_grid(exponent, mean: float, std: float, n_points: int = 16384,
     x_min = mean - span * std
     x_max = mean + span * std
     xi_max = default_xi_max(exponent)
+    n = alias_free_points(n_points, xi_max, x_max - x_min)
+    return GridSpec(n_points=n, x_min=x_min, x_max=x_max, xi_max=xi_max)
+
+
+def alias_free_points(n_points: int, xi_max: float, width: float) -> int:
+    """``n_points`` doubled until the Poisson-summation period
+    pi*(n-1)/xi_max of the trapezoid inversion covers 1.5x the x-window
+    ``width``; NormalizationError beyond 2^22 points."""
     n = n_points
-    while np.pi * (n - 1) / xi_max < 1.5 * (x_max - x_min):
+    while np.pi * (n - 1) / xi_max < 1.5 * width:
         if n >= 2**22:
             raise NormalizationError(
                 "alias-free inversion would need more than 2^22 grid points; "
                 "narrow the x-range or lower the frequency cutoff"
             )
         n *= 2
-    return GridSpec(n_points=n, x_min=x_min, x_max=x_max, xi_max=xi_max)
+    return n

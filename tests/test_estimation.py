@@ -19,6 +19,7 @@ from gtsou import (
     trace_rows,
 )
 from gtsou.estimation import TRACE_COLUMNS, _fd_steps
+from gtsou.inversion import InversionPlan
 
 
 # --- max_eigenvalue ---------------------------------------------------------
@@ -108,6 +109,46 @@ def equity_sample():
     data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 2000, np.random.default_rng(14))
     g = fit_grid(data, EQUITY_PARAMS, n_points=8192)
     return data, g
+
+
+def test_log_likelihood_plan_reuse_is_bit_identical():
+    # C8's sample and start: one plan reused over the start and its 14
+    # one-coordinate stencil points gives exactly the GridSpec path's values
+    data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 5000, np.random.default_rng(4))
+    init = moment_matched_init(data)
+    g = fit_grid(data, init)
+    plan = InversionPlan(g)
+    v0 = init.as_vector()
+    h = _fd_steps(v0)
+    points = [v0]
+    for j in range(v0.size):
+        for sign in (+1.0, -1.0):
+            v = v0.copy()
+            v[j] += sign * h[j]
+            points.append(v)
+    assert len(points) == 15
+    for v in points:
+        p = GtsParams.from_vector(v)
+        assert log_likelihood(data, p, plan) == log_likelihood(data, p, g)
+
+
+def test_log_likelihood_plan_expands_range_for_outliers(equity_sample):
+    data, g = equity_sample
+    widened = np.append(data, [g.x_max + 10.0])
+    assert log_likelihood(widened, EQUITY_PARAMS, InversionPlan(g)) == \
+        log_likelihood(widened, EQUITY_PARAMS, g)
+
+
+def test_fit_grid_alias_floor(equity_sample):
+    # at 256 points the alias period pi (n-1)/xi_max (~4.2) is far below
+    # 1.5x the window (~49): fit_grid must double like default_grid
+    data, _ = equity_sample
+    g = fit_grid(data, EQUITY_PARAMS, n_points=256)
+    assert g.n_points > 256
+    assert np.pi * (g.n_points - 1) / g.xi_max >= 1.5 * (g.x_max - g.x_min)
+    assert np.pi * (g.n_points // 2 - 1) / g.xi_max < 1.5 * (g.x_max - g.x_min)
+    # a grid that already clears the floor keeps its count
+    assert fit_grid(data, EQUITY_PARAMS, n_points=8192).n_points == 8192
 
 
 def test_log_likelihood_permutation_invariant(equity_sample):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gtsou import frft
-from gtsou.frft import phase_mod2
+from gtsou.frft import FrftPlan, phase_mod2
 
 
 def direct_sum(seq, a):
@@ -12,6 +12,22 @@ def direct_sum(seq, a):
     n = len(seq)
     j = np.arange(n)
     return np.exp(-1j * np.pi * phase_mod2(2.0 * a, np.outer(j, j))) @ seq
+
+
+def per_call_frft(seq, a):
+    """Reference Bluestein transform that rebuilds the chirp and the kernel
+    spectrum on every call, in the kernel's arithmetic order."""
+    seq = np.asarray(seq, dtype=complex)
+    n = seq.size
+    k = np.arange(n)
+    chirp = np.exp(-1j * np.pi * phase_mod2(a, k * k))
+    m = 1 << int(np.ceil(np.log2(max(2 * n - 1, 1))))
+    y = np.zeros(m, dtype=complex)
+    y[:n] = seq * chirp
+    z = np.zeros(m, dtype=complex)
+    z[:n] = np.conj(chirp)
+    z[m - n + 1:] = np.conj(chirp[1:][::-1])
+    return chirp * np.fft.ifft(np.fft.fft(y) * np.fft.fft(z))[:n]
 
 
 def test_a_equals_1_over_n_is_dft():
@@ -72,6 +88,27 @@ def test_invalid_input():
         frft(np.array([]), 0.1)
     with pytest.raises(ValueError):
         frft(np.ones((3, 3)), 0.1)
+
+
+def test_plan_reuse_matches_fresh_calls():
+    # one plan applied to two sequences equals two per-call transforms exactly
+    rng = np.random.default_rng(11)
+    for n, a in ((1, 0.42), (100, 0.137), (16384, 2.3e-4)):
+        plan = FrftPlan(n, a)
+        for _ in range(2):
+            seq = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.array_equal(plan(seq), per_call_frft(seq, a))
+            assert np.array_equal(frft(seq, a), per_call_frft(seq, a))
+
+
+def test_plan_rejects_wrong_length():
+    plan = FrftPlan(8, 0.1)
+    with pytest.raises(ValueError):
+        plan(np.ones(9))
+    with pytest.raises(ValueError):
+        plan(np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        FrftPlan(0, 0.1)
 
 
 def test_phase_mod2_against_exact_rationals():

@@ -17,7 +17,9 @@ from gtsou import (
     psi_gts,
     quantile,
 )
-from gtsou.inversion import end_corrected_weights
+from gtsou.frft import phase_mod2
+from gtsou.inversion import (InversionPlan, alias_free_points, end_corrected_weights,
+                             half_frequencies)
 
 
 def gaussian_exponent(mu=0.3, sigma=1.7):
@@ -26,6 +28,37 @@ def gaussian_exponent(mu=0.3, sigma=1.7):
 
 def gaussian_pdf(x, mu=0.3, sigma=1.7):
     return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
+
+
+def per_call_pdf(exponent, g):
+    """Reference inversion that rebuilds every grid array, the chirp and the
+    kernel spectrum on each call, in the plan's arithmetic order."""
+    n = g.n_points
+    xi = np.linspace(-g.xi_max, g.xi_max, n)
+    x = np.linspace(g.x_min, g.x_max, n)
+    dxi = xi[1] - xi[0]
+    dx = x[1] - x[0]
+    half = n // 2
+    cf = np.empty(n, dtype=complex)
+    cf[half:] = np.exp(exponent(xi[half:]))
+    cf[:half] = np.conj(cf[half:][::-1])
+    seq = end_corrected_weights(n) * cf * np.exp(-1j * g.x_min * np.arange(n) * dxi)
+
+    a = dx * dxi / (2.0 * np.pi)
+    k = np.arange(n)
+    chirp = np.exp(-1j * np.pi * phase_mod2(a, k * k))
+    m = 2 * n  # padded length: n is a power of two
+    y = np.zeros(m, dtype=complex)
+    y[:n] = seq * chirp
+    z = np.zeros(m, dtype=complex)
+    z[:n] = np.conj(chirp)
+    z[m - n + 1:] = np.conj(chirp[1:][::-1])
+    transform = chirp * np.fft.ifft(np.fft.fft(y) * np.fft.fft(z))[:n]
+
+    pdf = (dxi / (2.0 * np.pi)) * np.real(np.exp(1j * g.xi_max * x) * transform)
+    pdf = np.where(pdf < 0.0, 0.0, pdf)
+    mass = float(np.trapezoid(pdf, x))
+    return pdf / mass, mass
 
 
 def test_gaussian_recovery():
@@ -143,6 +176,41 @@ def test_default_grid_alias_floor():
     # fast-decaying CF keeps the requested count
     g2 = default_grid(gaussian_exponent(), mean=0.3, std=1.7, n_points=4096)
     assert g2.n_points == 4096
+
+
+def test_plan_reuse_matches_fresh_calls():
+    # one plan applied to two exponents equals two per-call inversions exactly
+    p = EQUITY_PARAMS
+    k = cumulants(p, 2)
+    equity = lambda xi: psi_gts(xi, p)
+    g = default_grid(equity, k[1], np.sqrt(k[2]), n_points=4096)
+    plan = InversionPlan(g)
+    for exponent in (equity, gaussian_exponent(mu=0.01, sigma=0.9)):
+        pdf, mass = plan.pdf(np.exp(exponent(plan.xi_half)))
+        ref_pdf, ref_mass = per_call_pdf(exponent, g)
+        assert np.array_equal(pdf, ref_pdf)
+        assert mass == ref_mass
+        d = invert_cf(exponent, g)
+        assert np.array_equal(d.pdf, ref_pdf)
+        assert d.raw_mass == ref_mass
+
+
+def test_plan_arrays_are_read_only():
+    plan = InversionPlan(GridSpec(n_points=256))
+    assert np.array_equal(plan.xi_half, half_frequencies(plan.grid))
+    for arr in (plan.x, plan.xi_half, plan.weights, plan.shift, plan.post,
+                plan.frft.chirp, plan.frft.kernel):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_alias_free_points_floor_and_cap():
+    assert alias_free_points(256, 10.0, 1.0) == 256
+    n = alias_free_points(256, 200.0, 50.0)
+    assert n == 8192  # smallest power-of-two multiple with pi (n-1)/200 >= 75
+    assert np.pi * (n - 1) / 200.0 >= 75.0 > np.pi * (n // 2 - 1) / 200.0
+    with pytest.raises(NormalizationError):
+        alias_free_points(256, 1e7, 100.0)
 
 
 def test_end_corrected_weights():
