@@ -3,16 +3,16 @@
 Closed-form cumulants and characteristic exponents for the GTS law, the
 background driving Levy process of its OU representation, and the
 self-decomposable stationary law driven by a GTS process; FRFT-based density
-inversion; finite-difference Newton maximum likelihood; exact simulation of
-the two stationary OU-type processes; and a validation suite pinning the
-numerics to closed-form moments.
+inversion; Newton maximum likelihood with the analytic score and Hessian;
+exact simulation of the two stationary OU-type processes; and a validation
+suite pinning the numerics to closed-form moments.
 """
 
 from .cumulants import (Cumulants, Marginal, StationaryMoments, cumulants,
                         stationary_moments)
-from .estimation import (FitState, FitTrace, StepCollision, fit, fit_grid,
-                         log_likelihood, max_eigenvalue, moment_matched_init,
-                         score_and_hessian, trace_rows)
+from .estimation import (FitState, FitTrace, fit, fit_grid, log_likelihood,
+                         max_eigenvalue, moment_matched_init, score_and_hessian,
+                         trace_rows)
 from .exponents import (bdlp_exponent, psi_gts, psi_one_sided, sd_exponent,
                         sd_exponent_unit_form)
 from .frft import frft
@@ -40,7 +40,7 @@ __all__ = [
     "GtsParams", "IncrementSampler", "Marginal", "MomentReport",
     "NormalizationError", "OuConfig", "PARAM_NAMES", "PRESETS", "REFERENCE",
     "ReturnSeries", "SamplePath", "SeriesKind", "StationaryMoments",
-    "StepCollision", "VariationDiagnostics", "bdlp_exponent",
+    "VariationDiagnostics", "bdlp_exponent",
     "bdlp_upper_tail_mass", "build_increment_sampler", "burn_in_length",
     "cf_on_grid", "cumulants", "default_grid", "default_xi_max",
     "emit_series", "empirical_moments", "ensemble_moments", "fit", "fit_grid",

@@ -1,5 +1,6 @@
 """Maximum-likelihood fitting of the seven GTS parameters by damped
-Newton-Raphson over an FRFT-evaluated likelihood."""
+Newton-Raphson over an FRFT-evaluated likelihood, with the score and Hessian
+inverted from differentiated characteristic functions."""
 
 from __future__ import annotations
 
@@ -7,12 +8,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as _gamma
 
 from .cumulants import cumulants
-from .exponents import psi_gts
+from .exponents import psi_gts, psi_gts_derivatives
 from .inversion import (GridSpec, InversionPlan, NormalizationError, alias_free_points,
                         default_xi_max)
 from .params import PARAM_NAMES, GtsParams
@@ -26,10 +26,6 @@ TRACE_COLUMNS = (
     "||dLog(ML)/dV||",
     "Max Eigen Value",
 )
-
-
-class StepCollision(ValueError):
-    """A finite-difference step left the parameter domain even after shrinking."""
 
 
 @dataclass(frozen=True)
@@ -84,134 +80,104 @@ def _plan_for(data: np.ndarray, g: GridSpec | InversionPlan) -> InversionPlan:
     return g if isinstance(g, InversionPlan) else InversionPlan(grid)
 
 
+def _stencil(plan: InversionPlan, data: np.ndarray) -> tuple:
+    """Indices and weights, each (len(data), 4), of the cubic Lagrange
+    interpolant through the four grid nodes around each observation (the
+    stencil slides inward at the grid ends).  The interpolant is linear in
+    the grid values, so interpolating the derivative rows gives the exact
+    derivative of the interpolated likelihood (a monotone PCHIP is not, and
+    its analytic gradient stalls the line search short of C8's tolerance).
+    ``_plan_for`` keeps every observation inside the grid."""
+    t = (data - plan.grid.x_min) / plan.dx
+    start = np.clip(np.floor(t).astype(int) - 1, 0, plan.x.size - 4)
+    t = t - (start + 1)
+    w = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
+                  (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                  -(t + 1.0) * t * (t - 2.0) / 2.0,
+                  (t + 1.0) * t * (t - 1.0) / 6.0], axis=1)
+    return start[:, None] + np.arange(4), w
+
+
+def _density_at_data(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
+    """(plan, cf on the half grid, pdf, raw mass, stencil, f at the data)."""
+    data = _check_data(data)
+    if p.alpha_plus + p.alpha_minus <= 0.0:
+        raise ValueError("degenerate parameters: both jump intensities are zero")
+    plan = _plan_for(data, g)
+    cf = np.exp(psi_gts(plan.xi_half, p))
+    pdf, mass = plan.pdf(cf)
+    idx, w = _stencil(plan, data)
+    return plan, cf, pdf, mass, (idx, w), np.sum(pdf[idx] * w, axis=1)
+
+
 def log_likelihood(data, p: GtsParams, g: GridSpec | InversionPlan) -> float:
     """l(data; p) = sum_j log f(data_j) with f from one CF inversion on g.
 
     ``g`` is a GridSpec, or an InversionPlan built from one: ``fit`` plans
     its grid once and passes the plan to every evaluation, which then costs
-    one exponent evaluation, two FFTs and one interpolant.  The pdf is
-    interpolated monotone-cubically at each observation and floored at
+    one exponent evaluation and two FFTs.  The pdf is interpolated at each
+    observation by the four-point cubic Lagrange stencil and floored at
     1e-300 before the log.  If the data exceed the grid's x-range the range
     is expanded for this evaluation.
     """
-    data = _check_data(data)
-    if p.alpha_plus + p.alpha_minus <= 0.0:
-        raise ValueError("degenerate parameters: both jump intensities are zero")
-    plan = _plan_for(data, g)
-    pdf, _ = plan.pdf(np.exp(psi_gts(plan.xi_half, p)))
-    f = PchipInterpolator(plan.x, pdf, extrapolate=False)(data)
-    f = np.nan_to_num(f, nan=0.0, posinf=0.0, neginf=0.0)
+    f = _density_at_data(data, p, g)[-1]
     return float(np.sum(np.log(np.maximum(f, PDF_FLOOR))))
 
 
-def _fd_steps(v: np.ndarray, max_shrinks: int = 5) -> np.ndarray:
-    """Relative central-difference steps, shrunk (up to 5 halvings) until the
-    whole perturbation box stays inside the parameter domain."""
-    h = 1e-4 * np.maximum(np.abs(v), 1e-2)
-    for j in range(v.size):
-        for attempt in range(max_shrinks + 1):
-            ok = True
-            for sign in (+1.0, -1.0):
-                trial = v.copy()
-                trial[j] += sign * h[j]
-                try:
-                    GtsParams.from_vector(trial)
-                except ValueError:
-                    ok = False
-                    break
-            if ok:
-                break
-            if attempt == max_shrinks:
-                raise StepCollision(
-                    f"parameter {PARAM_NAMES[j]}={v[j]:g} sits too close to the "
-                    f"domain boundary for finite differences (step {h[j]:g})"
-                )
-            h[j] *= 0.5
-    return h
+def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
+    """Exact gradient and Hessian of ``log_likelihood`` in the seven
+    parameters, from differentiated characteristic functions.
 
+    d/dtheta_j e^psi = psi_j e^psi and d2/dtheta_j dtheta_k e^psi =
+    (psi_jk + psi_j psi_k) e^psi (``psi_gts_derivatives``).  Each of these
+    1 + 7 + 28 spectra goes through the same unclipped inversion
+    (``InversionPlan.raw``) one at a time, and only the row's trapezoid mass
+    and its stencil values at the data are kept.  With q the clipped density
+    (its mask is fixed by the undifferentiated row), m its mass and
+    f_i = S_i q / m,
 
-def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan, loglik_fn=None):
-    """Central-difference gradient and symmetrized Hessian of log_likelihood.
+        d log f_i = S_i dq / (m f_i) - dm / m,
 
-    ``g`` is passed unchanged to every likelihood evaluation of the stencil.
-
-    Step per coordinate: 1e-4 * max(|V_j|, 1e-2), halved near domain
-    boundaries (StepCollision after 5 shrinks).  The Hessian uses the
-    standard 4-point cross stencil and is returned as (H + H^T)/2.
-    ``loglik_fn`` substitutes a different objective with the same signature
-    (used to verify the stencil on closed-form surfaces).
+    and the second derivative follows by the quotient rule.  Observations
+    whose density sits on the 1e-300 floor contribute nothing.
     """
-    if loglik_fn is None:
-        loglik_fn = log_likelihood
-    data = np.asarray(data, dtype=float)
-    v0 = p.as_vector()
-    h = _fd_steps(v0)
-    nparam = v0.size
+    plan, cf, pdf, mass, (idx, w), f = _density_at_data(data, p, g)
+    live = f > PDF_FLOOR
+    idx, w, f = idx[live], w[live], f[live]
+    keep = pdf > 0.0
+    first, second = psi_gts_derivatives(plan.xi_half, p)
 
-    cache: dict = {}
+    def row(spectrum) -> tuple:
+        """(dm / m, S_i dq / (m f_i)) of one differentiated spectrum."""
+        dq = np.where(keep, plan.raw(spectrum), 0.0) / mass
+        return float(np.trapezoid(dq, plan.x)), np.sum(dq[idx] * w, axis=1) / f
 
-    def lval(offsets: tuple) -> float:
-        if offsets not in cache:
-            v = v0.copy()
-            for j, s in offsets:
-                v[j] += s * h[j]
-            cache[offsets] = loglik_fn(data, GtsParams.from_vector(v), g)
-        return cache[offsets]
-
-    l0 = lval(())
-    grad = np.empty(nparam)
-    hess = np.zeros((nparam, nparam))
-    for j in range(nparam):
-        lp = lval(((j, +1.0),))
-        lm = lval(((j, -1.0),))
-        grad[j] = (lp - lm) / (2.0 * h[j])
-        hess[j, j] = (lp - 2.0 * l0 + lm) / h[j] ** 2
-    for j in range(nparam):
-        for k in range(j + 1, nparam):
-            lpp = lval(((j, +1.0), (k, +1.0)))
-            lpm = lval(((j, +1.0), (k, -1.0)))
-            lmp = lval(((j, -1.0), (k, +1.0)))
-            lmm = lval(((j, -1.0), (k, -1.0)))
-            hess[j, k] = hess[k, j] = (lpp - lpm - lmp + lmm) / (4.0 * h[j] * h[k])
-    hess = 0.5 * (hess + hess.T)
+    n_obs, n_par = f.size, first.shape[0]
+    dm = np.empty(n_par)
+    du = np.empty((n_par, n_obs))
+    for j in range(n_par):
+        dm[j], du[j] = row(first[j] * cf)
+    grad = du.sum(axis=1) - n_obs * dm
+    hess = np.empty((n_par, n_par))
+    for j in range(n_par):
+        for k in range(j, n_par):
+            spectrum = first[j] * first[k]
+            if (j, k) in second:
+                spectrum += second[j, k]
+            d2m, d2u = row(spectrum * cf)
+            hess[j, k] = hess[k, j] = (d2u.sum() - du[j] @ du[k]
+                                       - n_obs * (d2m - dm[j] * dm[k]))
     return grad, hess
 
 
 def max_eigenvalue(h) -> float:
-    """Largest eigenvalue of a symmetric matrix by cyclic Jacobi rotations,
-    swept until the off-diagonal Frobenius norm drops below 1e-12."""
+    """Largest eigenvalue of a symmetric matrix (LAPACK, ``eigvalsh``)."""
     a = np.array(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("max_eigenvalue expects a square matrix")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(a).max())):
         raise ValueError("max_eigenvalue expects a symmetric matrix")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    for _ in range(60):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off < 1e-12:
-            break
-        for pi in range(n - 1):
-            for qi in range(pi + 1, n):
-                apq = a[pi, qi]
-                if apq == 0.0:
-                    continue
-                gap = 0.5 * (a[qi, qi] - a[pi, pi])
-                if abs(gap) > abs(apq) / np.finfo(float).eps:
-                    t = apq / (2.0 * gap)  # small-angle limit; theta would overflow
-                elif gap == 0.0:
-                    t = 1.0
-                else:
-                    theta = gap / apq
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[pi, pi] = rot[qi, qi] = c
-                rot[pi, qi] = s
-                rot[qi, pi] = -s
-                a = rot.T @ a @ rot
-    return float(np.max(np.diag(a)))
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
 
 
 def moment_matched_init(data) -> GtsParams:
@@ -282,7 +248,7 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
 
     While the Hessian is negative definite the step is pure damped Newton:
     full step if it raises l, otherwise halved up to ``max_halvings`` times.
-    Away from the optimum the FD Hessian is routinely indefinite or singular
+    Away from the optimum the Hessian is routinely indefinite or singular
     and the raw Newton direction need not be an ascent direction; those
     iterations solve the eigenvalue-shifted system (H - tau*I) delta = grad
     with tau just above the largest eigenvalue — the shifted matrix is
@@ -292,8 +258,8 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     gradient-ascent step is the last resort before the fit is declared stuck.
 
     The grid (``fit_grid`` unless ``g`` is given, expanded to cover the data)
-    is planned once per fit: every likelihood evaluation reuses one
-    InversionPlan.
+    is planned once per fit: every likelihood, score and Hessian evaluation
+    reuses one InversionPlan.
     """
     data = _check_data(data)
     plan = _plan_for(data, fit_grid(data, init) if g is None else g)

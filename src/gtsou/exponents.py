@@ -3,12 +3,16 @@ and the self-decomposable law that a GTS driver generates."""
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import digamma as _digamma
 from scipy.special import gamma as _gamma
+from scipy.special import polygamma as _polygamma
 
 from .cumulants import cumulants
-from .params import GtsParams
+from .params import PARAM_NAMES, GtsParams
 
 # Below this stability index the naive Gamma(-beta)*((lam-i*xi)^beta-lam^beta)
 # product cancels catastrophically; the expm1 form below takes over there and
@@ -58,6 +62,101 @@ def psi_one_sided(xi, beta: float, alpha: float, lam: float):
         out = (-alpha * _gamma(1.0 - beta) * lam**beta / beta) \
             * _cexpm1(beta * log_ratio)
     return complex(out) if scalar else out
+
+
+# Taylor coefficients 1/(k! (k+m+1)) of I_m(z) = int_0^1 t^m e^(zt) dt, m = 0..2
+_I_SERIES = np.array([[1.0 / (factorial(k) * (k + m + 1)) for k in range(20)]
+                      for m in range(3)])
+
+
+def _expm1_moments(z: np.ndarray) -> tuple:
+    """I_m(z) = int_0^1 t^m e^(zt) dt for m = 0, 1, 2: I_0 = expm1(z)/z and
+    I_m = d^m I_0 / dz^m.  Below |z| = 1 a 20-term Taylor series (truncation
+    < 1e-19); above it the upward recurrence I_m = (e^z - m I_(m-1)) / z,
+    which loses at most a few ulps there."""
+    out = np.empty((3,) + z.shape, dtype=complex)
+    small = np.abs(z) < 1.0
+    zs = z[small]
+    for m in range(3):
+        acc = np.zeros_like(zs)
+        for c in _I_SERIES[m, ::-1]:
+            acc = acc * zs + c
+        out[m][small] = acc
+    zl = z[~small]
+    ez = np.exp(zl)
+    prev = _cexpm1(zl) / zl
+    out[0][~small] = prev
+    for m in (1, 2):
+        prev = (ez - m * prev) / zl
+        out[m][~small] = prev
+    return out[0], out[1], out[2]
+
+
+def psi_one_sided_derivatives(xi, beta: float, alpha: float, lam: float) -> tuple:
+    """Parameter derivatives of ``psi_one_sided`` on an array of frequencies.
+
+    Writing psi = -alpha * A(beta) * L * I_0(beta L) with A = Gamma(1-beta)
+    lam^beta, L = log(1 - i xi/lam) and I_m from ``_expm1_moments`` (so
+    d^m/dbeta^m [L I_0(beta L)] = L^(m+1) I_m(beta L)), every beta-derivative
+    stays analytic through beta = 0, where the Gamma(-beta) form is infinite.
+    The lambda-derivatives follow from d/dlam (lam - i xi)^beta:
+
+        dpsi/dlam   = -alpha Gamma(1-beta) lam^(beta-1) expm1((beta-1) L)
+        d2psi/dlam2 =  alpha Gamma(2-beta) lam^(beta-2) expm1((beta-2) L)
+
+    Returns ``(first, second)``: ``first`` the three arrays d/dbeta,
+    d/dalpha, d/dlam; ``second`` maps local index pairs (0 = beta,
+    1 = alpha, 2 = lam) to the nonzero second derivatives (d2/dalpha2 is 0).
+    """
+    x = np.asarray(xi, dtype=float)
+    log_ratio = np.log((lam - 1j * x) / lam)
+    i0, i1, i2 = _expm1_moments(beta * log_ratio)
+    b0 = log_ratio * i0
+    b1 = log_ratio**2 * i1
+    b2 = log_ratio**3 * i2
+    a = _gamma(1.0 - beta) * lam**beta
+    a1 = np.log(lam) - _digamma(1.0 - beta)  # d log A / dbeta
+    a2 = _polygamma(1, 1.0 - beta)  # d2 log A / dbeta2
+    d_alpha_beta = -a * (a1 * b0 + b1)
+    em1 = _cexpm1((beta - 1.0) * log_ratio)
+    d_alpha_lam = -_gamma(1.0 - beta) * lam ** (beta - 1.0) * em1
+    first = (alpha * d_alpha_beta, -a * b0, alpha * d_alpha_lam)
+    second = {
+        (0, 0): -alpha * a * ((a1 * a1 + a2) * b0 + 2.0 * a1 * b1 + b2),
+        (0, 1): d_alpha_beta,
+        (0, 2): alpha * d_alpha_lam * a1
+        - alpha * _gamma(1.0 - beta) * lam ** (beta - 1.0)
+        * log_ratio * np.exp((beta - 1.0) * log_ratio),
+        (1, 2): d_alpha_lam,
+        (2, 2): alpha * _gamma(2.0 - beta) * lam ** (beta - 2.0)
+        * _cexpm1((beta - 2.0) * log_ratio),
+    }
+    return first, second
+
+
+def psi_gts_derivatives(xi, p: GtsParams) -> tuple:
+    """First and second derivatives of ``psi_gts`` in the seven parameters
+    (PARAM_NAMES order) on an array of frequencies.
+
+    Returns ``(first, second)``: ``first`` has shape (7,) + xi.shape;
+    ``second`` maps each pair (j, k), j <= k, whose second derivative is not
+    identically zero to its array.  Those are the mu-free pairs of one side:
+    mu enters linearly (dpsi/dmu = i xi) and the two sides share no parameter.
+    """
+    x = np.asarray(xi, dtype=float)
+    first = np.empty((len(PARAM_NAMES),) + x.shape, dtype=complex)
+    first[0] = 1j * x
+    second = {}
+    for side, name, sign in ((0, "plus", 1.0), (1, "minus", -1.0)):
+        index = (1 + side, 3 + side, 5 + side)  # beta, alpha, lambda
+        d1, d2 = psi_one_sided_derivatives(
+            sign * x, getattr(p, f"beta_{name}"), getattr(p, f"alpha_{name}"),
+            getattr(p, f"lambda_{name}"))
+        for j, d in zip(index, d1):
+            first[j] = d
+        for (j, k), d in d2.items():
+            second[index[j], index[k]] = d
+    return first, second
 
 
 def psi_gts(xi, p: GtsParams):

@@ -142,8 +142,8 @@ class InversionPlan:
 
     Built once per GridSpec: the x nodes, the half frequency grid, the
     end-corrected weights, the x_min shift phase, the xi_max post-phase and
-    the FRFT plan.  ``pdf`` then costs two FFTs, so a fit that evaluates
-    many laws on one grid pays for the grid once.
+    the FRFT plan.  ``raw`` and ``pdf`` then cost two FFTs, so a fit that
+    evaluates many laws on one grid pays for the grid once.
     """
 
     def __init__(self, g: GridSpec):
@@ -164,21 +164,27 @@ class InversionPlan:
         for arr in (self.x, self.xi_half, self.weights, self.shift, self.post):
             arr.setflags(write=False)
 
-    def pdf(self, cf_half) -> tuple:
-        """(pdf on ``x``, raw mass) from the characteristic function on
-        ``xi_half``: clipped nonnegative and renormalized to unit trapezoid
-        mass.  Raises NormalizationError when the raw mass deviates from 1 by
-        more than 1e-3."""
-        g = self.grid
-        n = g.n_points
+    def raw(self, cf_half) -> np.ndarray:
+        """The unclipped trapezoid inversion on ``x`` of a spectrum given on
+        ``xi_half`` and mirrored Hermitian (mirror plus one FRFT).  Linear over
+        the reals, so a spectrum d/dtheta e^psi gives the theta-derivative of
+        the unclipped density."""
+        n = self.grid.n_points
         half = n // 2
         cf = np.empty(n, dtype=complex)
         cf[half:] = cf_half
         cf[:half] = np.conj(cf[half:][::-1])
 
         seq = self.weights * cf * self.shift
-        pdf = self.scale * np.real(self.post * self.frft(seq))
+        return self.scale * np.real(self.post * self.frft(seq))
 
+    def pdf(self, cf_half) -> tuple:
+        """(pdf on ``x``, raw mass) from the characteristic function on
+        ``xi_half``: ``raw`` clipped nonnegative and renormalized to unit
+        trapezoid mass.  Raises NormalizationError when the raw mass deviates
+        from 1 by more than 1e-3."""
+        g = self.grid
+        pdf = self.raw(cf_half)
         pdf = np.where(pdf < 0.0, 0.0, pdf)  # FRFT ringing is tiny by contract
         mass = float(np.trapezoid(pdf, self.x))
         if abs(mass - 1.0) > 1e-3:

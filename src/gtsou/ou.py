@@ -21,6 +21,11 @@ from .inversion import DensityGrid, GridSpec, default_grid, invert_cf, quantile
 from .params import GtsParams
 
 _GL32_NODES, _GL32_WEIGHTS = leggauss(32)
+# Frequencies per block of the SD increment quadrature.  Blocks bound the
+# (frequencies, 32) temporaries of psi_gts: the crypto SD sampler at
+# lambda = 0.1 (2^20 frequencies) peaked at 1.9 GB of RSS in one block and at
+# 0.41 GB in blocks, with a bitwise-identical density.
+_SD_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ def increment_exponent(xi, p: GtsParams, c: OuConfig):
     the two frequency integrals collapses to int_0^{lambda dt} Psi(xi e^{-s}) ds
     (substitute u = xi e^{-s}), integrated by Gauss-Legendre panels -- the
     integrand is analytic in s, so a few 32-node panels are exact to near
-    machine precision.
+    machine precision.  The nodes are evaluated over blocks of frequencies.
     """
     if c.mode is Marginal.GTS:
         return psi_gts(xi, p) - psi_gts(c.a * np.asarray(xi, dtype=float), p)
@@ -97,8 +102,10 @@ def increment_exponent(xi, p: GtsParams, c: OuConfig):
         half = 0.5 * (edges[k + 1] - edges[k])
         mid = 0.5 * (edges[k + 1] + edges[k])
         s = mid + half * _GL32_NODES
-        vals = psi_gts(np.outer(flat, np.exp(-s)), p)
-        out += half * (vals @ _GL32_WEIGHTS)
+        for lo in range(0, flat.size, _SD_CHUNK):
+            block = slice(lo, lo + _SD_CHUNK)
+            vals = psi_gts(np.outer(flat[block], np.exp(-s)), p)
+            out[block] += half * (vals @ _GL32_WEIGHTS)
     if scalar:
         return complex(out[0])
     return out.reshape(xi_arr.shape)

@@ -1,14 +1,14 @@
-"""Newton-Raphson MLE machinery: eigenvalue extraction, finite-difference
-stencils, likelihood evaluation, and the damped ascent loop."""
+"""Newton-Raphson MLE machinery: eigenvalue extraction, likelihood
+evaluation, the analytic score and Hessian, and the damped ascent loop."""
 
 import numpy as np
 import pytest
 
 from gtsou import (
+    CRYPTO_PARAMS,
     EQUITY_PARAMS,
     GtsParams,
     Marginal,
-    StepCollision,
     fit,
     fit_grid,
     log_likelihood,
@@ -18,7 +18,7 @@ from gtsou import (
     score_and_hessian,
     trace_rows,
 )
-from gtsou.estimation import TRACE_COLUMNS, _fd_steps
+from gtsou.estimation import TRACE_COLUMNS
 from gtsou.inversion import InversionPlan
 
 
@@ -61,47 +61,6 @@ def test_max_eigenvalue_rejects_bad_input():
         max_eigenvalue(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # antisymmetric
 
 
-# --- finite-difference stencil ----------------------------------------------
-
-def test_score_and_hessian_exact_on_quadratic():
-    # central differences are exact (up to rounding) for quadratics
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((7, 7))
-    h_true = -(a @ a.T) - np.eye(7)  # negative definite
-    b = rng.standard_normal(7)
-
-    def quad_loglik(data, p, g):
-        v = p.as_vector()
-        return float(b @ v + 0.5 * v @ h_true @ v)
-
-    p0 = EQUITY_PARAMS
-    grad, hess = score_and_hessian(None, p0, None, loglik_fn=quad_loglik)
-    np.testing.assert_allclose(grad, b + h_true @ p0.as_vector(), rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(hess, h_true, rtol=1e-4, atol=1e-5)
-    assert np.allclose(hess, hess.T)  # symmetrized by construction
-
-
-def test_fd_steps_relative_scale():
-    v = np.array([2.0, 0.5, 0.5, 1.0, 1.0, 3.0, 0.001])
-    h = _fd_steps(v)
-    np.testing.assert_allclose(h[:6], 1e-4 * np.abs(v[:6]))
-    assert h[6] == pytest.approx(1e-6)  # floor at 1e-4 * 1e-2
-
-
-def test_fd_steps_shrink_near_boundary():
-    # beta_plus close to 1: full step leaves the domain, halving repairs it
-    p = EQUITY_PARAMS.replace(beta_plus=1.0 - 5e-5)
-    h = _fd_steps(p.as_vector())
-    assert h[1] < 1e-4 * (1.0 - 5e-5)
-    assert p.beta_plus + h[1] < 1.0
-
-
-def test_step_collision_names_the_parameter():
-    p = EQUITY_PARAMS.replace(beta_minus=1e-9)
-    with pytest.raises(StepCollision, match="beta_minus"):
-        _fd_steps(p.as_vector())
-
-
 # --- likelihood -------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -111,15 +70,55 @@ def equity_sample():
     return data, g
 
 
+@pytest.fixture(scope="module")
+def crypto_sample():
+    data = sample_marginal(CRYPTO_PARAMS, Marginal.GTS, 2000, np.random.default_rng(16))
+    g = fit_grid(data, CRYPTO_PARAMS, n_points=8192)
+    return data, g
+
+
+@pytest.mark.parametrize("sample, p", [("equity_sample", EQUITY_PARAMS),
+                                       ("crypto_sample", CRYPTO_PARAMS)])
+def test_score_and_hessian_match_central_differences(sample, p, request):
+    # the analytic score and Hessian differentiate the very objective the
+    # line search evaluates: central differences of log_likelihood converge
+    # to them (O(h^2); the beta steps need h ~ 1e-5 relative for 1e-5)
+    data, g = request.getfixturevalue(sample)
+    plan = InversionPlan(g)
+    grad, hess = score_and_hessian(data, p, plan)
+    v0 = p.as_vector()
+    e = np.eye(v0.size)
+
+    def ll(v):
+        return log_likelihood(data, GtsParams.from_vector(v), plan)
+
+    h = 1e-5 * np.maximum(np.abs(v0), 1e-2)
+    fd_grad = np.array([(ll(v0 + h[j] * e[j]) - ll(v0 - h[j] * e[j])) / (2.0 * h[j])
+                        for j in range(v0.size)])
+    np.testing.assert_allclose(grad, fd_grad, rtol=1e-5)
+
+    h = 1e-3 * np.maximum(np.abs(v0), 1e-2)
+    fd_hess = np.empty_like(hess)
+    for j in range(v0.size):
+        for k in range(j, v0.size):
+            dj, dk = h[j] * e[j], h[k] * e[k]
+            fd_hess[j, k] = fd_hess[k, j] = (
+                ll(v0 + dj + dk) - ll(v0 + dj - dk) - ll(v0 - dj + dk)
+                + ll(v0 - dj - dk)) / (4.0 * h[j] * h[k])
+    assert np.linalg.norm(hess - fd_hess) <= 1e-3 * np.linalg.norm(fd_hess)
+    assert np.array_equal(hess, hess.T)
+
+
 def test_log_likelihood_plan_reuse_is_bit_identical():
-    # C8's sample and start: one plan reused over the start and its 14
-    # one-coordinate stencil points gives exactly the GridSpec path's values
+    # C8's sample and start: one plan reused over the start and 14 points one
+    # relative offset away along each coordinate gives exactly the GridSpec
+    # path's values
     data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 5000, np.random.default_rng(4))
     init = moment_matched_init(data)
     g = fit_grid(data, init)
     plan = InversionPlan(g)
     v0 = init.as_vector()
-    h = _fd_steps(v0)
+    h = 1e-4 * np.maximum(np.abs(v0), 1e-2)
     points = [v0]
     for j in range(v0.size):
         for sign in (+1.0, -1.0):

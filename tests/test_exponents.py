@@ -2,6 +2,7 @@
 identities tying the GTS law to its driver and to the self-decomposable law.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,6 +21,8 @@ from gtsou import (
     sd_exponent,
     sd_exponent_unit_form,
 )
+from gtsou.exponents import psi_gts_derivatives
+from gtsou.ou import _GL32_NODES, _GL32_WEIGHTS, _SD_CHUNK
 
 XI = np.linspace(-10.0, 10.0, 41)
 XI_NONZERO = XI[XI != 0.0]
@@ -151,6 +154,24 @@ def test_increment_exponent_sd_difference():
                                atol=1e-9)
 
 
+def test_increment_exponent_sd_blocks_match_one_block():
+    # more frequencies than one block: each row equals the one-block formula
+    c = OuConfig(lambda_rate=2.0, dt=1.0, mode=Marginal.SD)  # two panels
+    xi = np.linspace(-40.0, 40.0, _SD_CHUNK + 1000)
+    edges = np.linspace(0.0, c.lambda_rate * c.dt, 3)
+
+    def one_block(x):
+        out = np.zeros(x.size, dtype=complex)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (hi - lo)
+            s = 0.5 * (hi + lo) + half * _GL32_NODES
+            out += half * (psi_gts(np.outer(x, np.exp(-s)), CRYPTO_PARAMS) @ _GL32_WEIGHTS)
+        return out
+
+    assert np.array_equal(increment_exponent(xi, CRYPTO_PARAMS, c), one_block(xi))
+    assert increment_exponent(xi[7], CRYPTO_PARAMS, c) == one_block(xi[7:8])[0]
+
+
 def test_increment_plus_scaled_marginal_recomposes():
     # X = a X' + Y in law <=> phi(xi) = phi(a xi) + phi_Y(xi): the
     # self-decomposability property the process construction rests on
@@ -171,3 +192,57 @@ def test_degenerate_alpha_rejected():
     with pytest.raises(ValueError):
         GtsParams(mu=0.0, beta_plus=0.5, beta_minus=0.5, alpha_plus=-0.1,
                   alpha_minus=0.4, lambda_plus=1.0, lambda_minus=1.0)
+
+
+# --- parameter derivatives ---------------------------------------------------
+
+def _mp_psi_gts(xi, v):
+    """psi_gts at 40 digits in the expm1 form (its log limit at beta = 0)."""
+    def side(x, beta, alpha, lam):
+        log_ratio = mp.log(1 - 1j * x / lam)
+        if beta == 0:
+            return -alpha * log_ratio
+        return -alpha * mp.gamma(1 - beta) * lam**beta * mp.expm1(beta * log_ratio) / beta
+
+    mu, b_plus, b_minus, a_plus, a_minus, l_plus, l_minus = v
+    return 1j * mu * xi + side(xi, b_plus, a_plus, l_plus) + side(-xi, b_minus, a_minus, l_minus)
+
+
+@pytest.fixture(scope="module")
+def c8_xi_max():
+    from gtsou import fit_grid, moment_matched_init, sample_marginal
+    data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 5000, np.random.default_rng(4))
+    return fit_grid(data, moment_matched_init(data)).xi_max
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-12, 1e-6, 1e-3, 0.036, 0.68])
+def test_psi_derivatives_match_mpmath(beta, c8_xi_max):
+    # every first and second parameter derivative, through beta = 0 and out
+    # to the C8 grid's cutoff, on a two-sided and a one-sided law; the second
+    # derivatives vanish except for the mu-free pairs of one side
+    xi = np.array([-c8_xi_max, -3.0, -1e-3, 1e-3, 0.5, 7.0, c8_xi_max])
+    same_side = {(1, 1), (1, 3), (1, 5), (3, 5), (5, 5),
+                 (2, 2), (2, 4), (2, 6), (4, 6), (6, 6)}
+    for p in (EQUITY_PARAMS.replace(beta_plus=beta, beta_minus=beta),
+              EQUITY_PARAMS.replace(beta_plus=beta, alpha_minus=0.0)):
+        first, second = psi_gts_derivatives(xi, p)
+        assert set(second) == same_side
+        assert np.isfinite(first).all()
+        assert all(np.isfinite(d).all() for d in second.values())
+        v = [mp.mpf(t) for t in p.as_vector()]
+        for i, x in enumerate(xi):
+            def f(*t, x=mp.mpf(x)):
+                return _mp_psi_gts(x, t)
+            for j in range(7):
+                order = [0] * 7
+                order[j] = 1
+                with mp.workdps(40):
+                    ref = complex(mp.diff(f, v, order))
+                assert abs(first[j, i] - ref) <= 1e-8 * abs(ref), (p, x, j)
+            for (j, k), d in second.items():
+                order = [0] * 7
+                order[j] += 1
+                order[k] += 1
+                with mp.workdps(40):
+                    ref = complex(mp.diff(f, v, order))
+                assert abs(d[i] - ref) <= 1e-8 * abs(ref), (p, x, j, k)
