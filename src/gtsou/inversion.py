@@ -235,23 +235,29 @@ def cf_on_grid(d: DensityGrid, xi) -> np.ndarray:
     return phase @ (w * d.pdf) * dx
 
 
-def default_xi_max(exponent, tail_log: float = np.log(1e-12), cap: float = 1e7) -> float:
+# default_xi_max's target log-modulus and the largest cutoff it accepts
+_TAIL_LOG = np.log(1e-12)
+_XI_CAP = 1e7
+
+
+def default_xi_max(exponent) -> float:
     """Smallest frequency where |cf| = exp(Re exponent) falls below 1e-12.
 
-    Probes with scalar frequencies: every exponent in this package routes
-    scalars through its most accurate (adaptive) path.
+    Probes the exponent one scalar frequency at a time: doubling from 1 to
+    bracket the cutoff, then 60 bisection steps.  Raises NormalizationError
+    if the doubling passes 1e7 before |cf| falls below 1e-12.
     """
     lo, hi = 0.0, 1.0
-    while np.real(exponent(hi)) > tail_log:
+    while np.real(exponent(hi)) > _TAIL_LOG:
         lo, hi = hi, 2.0 * hi
-        if hi > cap:
+        if hi > _XI_CAP:
             raise NormalizationError(
                 "characteristic function decays too slowly: no usable "
-                f"frequency cutoff below {cap:g}"
+                f"frequency cutoff below {_XI_CAP:g}"
             )
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if np.real(exponent(mid)) > tail_log:
+        if np.real(exponent(mid)) > _TAIL_LOG:
             lo = mid
         else:
             hi = mid

@@ -17,7 +17,7 @@ from scipy.signal import lfilter
 
 from .cumulants import Cumulants, Marginal, StationaryMoments, cumulants, stationary_moments
 from .exponents import psi_gts, sd_exponent
-from .inversion import DensityGrid, GridSpec, default_grid, invert_cf, quantile
+from .inversion import DensityGrid, default_grid, invert_cf, quantile
 from .params import GtsParams
 
 _GL32_NODES, _GL32_WEIGHTS = leggauss(32)
@@ -128,18 +128,22 @@ def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.maximum(u, np.finfo(float).tiny)
 
 
+def _marginal_grid(p: GtsParams, mode: Marginal) -> DensityGrid:
+    """The stationary marginal (GTS or SD) inverted on a grid of 8192 points
+    spanning 20 standard deviations either side of its mean."""
+    exponent = marginal_exponent(p, mode)
+    sm = stationary_moments(p, mode)
+    g = default_grid(exponent, sm.mean, sm.std_dev, n_points=8192, span=20.0)
+    return invert_cf(exponent, g)
+
+
 def sample_marginal(p: GtsParams, mode: Marginal, n: int,
-                    rng: np.random.Generator, g: GridSpec | None = None) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the stationary marginal (GTS or SD) by
     inverse-transform sampling on its inverted density grid."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    exponent = marginal_exponent(p, mode)
-    if g is None:
-        sm = stationary_moments(p, mode)
-        g = default_grid(exponent, sm.mean, sm.std_dev, n_points=8192, span=20.0)
-    grid = invert_cf(exponent, g)
-    return np.asarray(quantile(grid, _open_uniform(rng, n)))
+    return np.asarray(quantile(_marginal_grid(p, mode), _open_uniform(rng, n)))
 
 
 @dataclass(frozen=True)
@@ -162,23 +166,14 @@ class IncrementSampler:
         return float(quantile(self.marginal, _open_uniform(rng, 1)[0]))
 
 
-def build_increment_sampler(p: GtsParams, c: OuConfig,
-                            g: GridSpec | None = None) -> IncrementSampler:
-    """Invert the increment CF once (grid sized from the increment's own
-    mean/sd when not supplied) and wrap it for repeated quantile draws."""
+def build_increment_sampler(p: GtsParams, c: OuConfig) -> IncrementSampler:
+    """Invert the increment CF once, on a grid sized from the increment's own
+    mean/sd, and wrap it for repeated quantile draws."""
     inc_exp = lambda xi: increment_exponent(xi, p, c)
-    if g is None:
-        k = increment_cumulants(p, c, 2)
-        g = default_grid(inc_exp, k[1], float(np.sqrt(k[2])),
-                         n_points=8192, span=20.0)
+    k = increment_cumulants(p, c, 2)
+    g = default_grid(inc_exp, k[1], float(np.sqrt(k[2])), n_points=8192, span=20.0)
     grid = invert_cf(inc_exp, g)
-
-    marginal = None
-    if c.stationary_start:
-        sm = stationary_moments(p, c.mode)
-        mg = default_grid(marginal_exponent(p, c.mode), sm.mean, sm.std_dev,
-                          n_points=8192, span=20.0)
-        marginal = invert_cf(marginal_exponent(p, c.mode), mg)
+    marginal = _marginal_grid(p, c.mode) if c.stationary_start else None
     return IncrementSampler(p, c, grid, marginal)
 
 

@@ -14,6 +14,7 @@ from gtsou import (
     OuConfig,
     bdlp_exponent,
     cumulants,
+    default_xi_max,
     increment_exponent,
     marginal_exponent,
     psi_gts,
@@ -106,12 +107,34 @@ def test_bdlp_hermitian_and_origin():
 
 
 def test_sd_exponent_two_routes_agree():
-    # adaptive integral of psi(u)/u versus the unit-interval form (scalar route)
+    # Gauss-Legendre panels of psi(u)/u versus the unit-interval form: lone
+    # scalars out to the SD frequency cutoffs (~82 equity, ~45 crypto) and
+    # C4's 201-point grid on crypto, whose 0.1 spacing exceeds the panel bound
+    # near the origin, so both need breakpoints
     for p in (EQUITY_PARAMS, CRYPTO_PARAMS):
-        for xi in (-8.0, -3.0, -0.5, 0.0, 0.5, 3.0, 8.0):
+        for xi in (-45.0, -20.0, -8.0, -3.0, -0.5, 0.0, 0.5, 3.0, 8.0, 20.0, 82.0):
             a = complex(sd_exponent(xi, p))
             b = sd_exponent_unit_form(xi, p)
             assert a == pytest.approx(b, abs=1e-9)
+    grid = np.linspace(-10.0, 10.0, 201)
+    unit = np.array([sd_exponent_unit_form(x, CRYPTO_PARAMS) for x in grid])
+    np.testing.assert_allclose(sd_exponent(grid, CRYPTO_PARAMS), unit, rtol=0, atol=1e-9)
+
+
+def test_sd_exponent_far_scalar():
+    # a lone scalar far past the cutoff is finite and takes the array route
+    for p in (EQUITY_PARAMS, CRYPTO_PARAMS):
+        val = sd_exponent(1e5, p)
+        assert np.isfinite(val)
+        assert val == sd_exponent(np.array([1e5]), p)[0]
+
+
+def test_sd_default_xi_max_pinned():
+    # SD grid selection: the |cf| = 1e-12 cutoffs of both presets
+    for p, xi_max in ((EQUITY_PARAMS, 81.9083597204039),
+                      (CRYPTO_PARAMS, 45.18254107578155)):
+        got = default_xi_max(lambda xi, q=p: sd_exponent(xi, q))
+        assert got == pytest.approx(xi_max, rel=1e-12, abs=0)
 
 
 def test_sd_integrand_identity():
