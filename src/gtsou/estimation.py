@@ -1,14 +1,13 @@
-"""Maximum-likelihood fitting of the seven GTS parameters by damped
-Newton-Raphson over an FRFT-evaluated likelihood, with the score and Hessian
-inverted from differentiated characteristic functions."""
+"""Maximum-likelihood fitting of the seven GTS parameters by trust-region
+Newton (scipy's ``trust-exact``) over an FRFT-evaluated likelihood, with the
+score and Hessian inverted from differentiated characteristic functions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.optimize import minimize
 from scipy.special import gamma as _gamma
 
 from .cumulants import cumulants
@@ -52,7 +51,7 @@ class FitState:
 class FitTrace:
     states: tuple
     converged: bool
-    reason: str  # GradientTol | MaxIter | LineSearchFail | SingularHessian
+    reason: str  # GradientTol | MaxIter | NoProgress | SingularHessian
 
     @property
     def final(self) -> FitState:
@@ -86,7 +85,8 @@ def _stencil(plan: InversionPlan, data: np.ndarray) -> tuple:
     stencil slides inward at the grid ends).  The interpolant is linear in
     the grid values, so interpolating the derivative rows gives the exact
     derivative of the interpolated likelihood (a monotone PCHIP is not, and
-    its analytic gradient stalls the line search short of C8's tolerance).
+    with its analytic gradient the Newton fit stalled short of C8's
+    tolerance).
     ``_plan_for`` keeps every observation inside the grid."""
     t = (data - plan.grid.x_min) / plan.dx
     start = np.clip(np.floor(t).astype(int) - 1, 0, plan.x.size - 4)
@@ -226,107 +226,105 @@ def fit_grid(data, init: GtsParams, n_points: int = 16384) -> GridSpec:
     return GridSpec(n_points=n, x_min=lo, x_max=hi, xi_max=xi_max)
 
 
-def _try_likelihood(data, v: np.ndarray, g: InversionPlan):
-    """Candidate evaluation for the line search; None marks an infeasible point."""
-    try:
-        cand = GtsParams.from_vector(v)
-    except ValueError:
-        return None, None
-    try:
-        return cand, log_likelihood(data, cand, g)
-    except (NormalizationError, ValueError, ArithmeticError):
-        return None, None
+def _coordinates(p: GtsParams) -> np.ndarray:
+    """Inverse of ``_from_coordinates``, taking t, u >= 0."""
+    v = p.as_vector()
+    return np.concatenate([v[:1], np.sqrt(v[1:3] / (1.0 - v[1:3])), np.sqrt(v[3:5]),
+                           np.log(v[5:])])
+
+
+def _from_coordinates(z: np.ndarray) -> tuple:
+    """The parameter vector at z = (mu, t+, t-, u+, u-, w+, w-), where
+    beta = t^2 / (1 + t^2), alpha = u^2 and lambda = e^w, with its first and
+    second derivatives, elementwise in z."""
+    t, u = z[1:3], z[3:5]
+    s = 1.0 + t * t
+    lam = np.exp(z[5:])
+    v = np.concatenate([z[:1], t * t / s, u * u, lam])
+    d = np.concatenate([[1.0], 2.0 * t / s**2, 2.0 * u, lam])
+    d2 = np.concatenate([[0.0], (2.0 - 6.0 * t * t) / s**3, [2.0, 2.0], lam])
+    return v, d, d2
 
 
 def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
-        g: GridSpec | None = None, max_halvings: int = 20) -> FitTrace:
-    """Damped Newton ascent of the log-likelihood.
+        g: GridSpec | None = None) -> FitTrace:
+    """Trust-region Newton ascent of the log-likelihood.
 
-    Each iteration records a FitState (params, l, gradient, Hessian, gradient
-    norm, max eigenvalue).  Convergence requires gradient_norm <= grad_tol
-    AND max_eigenvalue <= 0.
+    scipy's ``trust-exact`` (Moré–Sorensen) minimises -l; its exact
+    subproblem solve handles the indefinite Hessians met far from the
+    optimum.  It runs in ``_coordinates``, which are unconstrained yet reach
+    beta = 0 and alpha = 0; there the square map gives -l negative curvature
+    whenever l rises inward, so the fit can leave the boundary.  Gradient and
+    Hessian follow from ``score_and_hessian`` by the chain rule, g_z = D g
+    and H_z = D H D + diag(D2 g).  An infeasible proposal gets +inf and fails
+    the ratio test.
 
-    While the Hessian is negative definite the step is pure damped Newton:
-    full step if it raises l, otherwise halved up to ``max_halvings`` times.
-    Away from the optimum the Hessian is routinely indefinite or singular
-    and the raw Newton direction need not be an ascent direction; those
-    iterations solve the eigenvalue-shifted system (H - tau*I) delta = grad
-    with tau just above the largest eigenvalue — the shifted matrix is
-    negative definite, making delta a guaranteed ascent direction that
-    interpolates between Newton (small tau) and scaled gradient ascent
-    (large tau).  tau grows tenfold until a step is accepted; a plain
-    gradient-ascent step is the last resort before the fit is declared stuck.
-
+    Each accepted point becomes a FitState in the natural parameters.  Stop
+    reasons: GradientTol (gradient_norm <= grad_tol and max_eigenvalue <= 0),
+    MaxIter (``max_iter`` accepted steps), NoProgress (the model predicts no
+    decrease) and SingularHessian (the subproblem's linear algebra failed).
     The grid (``fit_grid`` unless ``g`` is given, expanded to cover the data)
-    is planned once per fit: every likelihood, score and Hessian evaluation
-    reuses one InversionPlan.
+    is planned once, and every evaluation reuses its InversionPlan.
     """
     data = _check_data(data)
     plan = _plan_for(data, fit_grid(data, init) if g is None else g)
-
     states: list[FitState] = []
-    p = init
-    l_cur = log_likelihood(data, p, plan)
+    last: dict = {}  # the point evaluated last: scipy asks for f, g, H apart
 
-    def line_search(v0: np.ndarray, direction: np.ndarray):
-        t = 1.0
-        for _ in range(max_halvings + 1):
-            cand, l_new = _try_likelihood(data, v0 + t * direction, plan)
-            if cand is not None and l_new > l_cur:
-                return cand, l_new
-            t *= 0.5
-        return None, None
-
-    def solve_step(mat: np.ndarray, rhs: np.ndarray):
-        """LU solve; None when a pivot is numerically zero (rel < 1e-12)."""
+    def evaluate(z: np.ndarray, p: GtsParams | None = None) -> dict:
+        """-l, its z-gradient and z-Hessian, and the natural values, from one
+        likelihood and one score/Hessian call; +inf and zeros (scipy builds a
+        model before rejecting) when infeasible.  ``p`` is z's exact params."""
+        if np.array_equal(last.get("z"), z):
+            return last
+        last.clear()
+        last["z"] = z.copy()
+        v, d, d2 = _from_coordinates(z)
         try:
-            lu, piv = lu_factor(mat)
-        except ValueError:  # LinAlgError, or non-finite entries
-            return None
-        diag = np.abs(np.diag(lu))
-        if diag.min() < 1e-12 * max(diag.max(), 1.0):
-            return None
-        return lu_solve((lu, piv), rhs)
+            p = GtsParams.from_vector(v) if p is None else p
+            l = log_likelihood(data, p, plan)
+            grad, hess = score_and_hessian(data, p, plan)
+        except (NormalizationError, ValueError, ArithmeticError):
+            if not states:  # the start's errors propagate
+                raise
+            last["model"] = np.inf, np.zeros(z.size), np.zeros((z.size, z.size))
+            return last
+        last["natural"] = p, l, grad, hess
+        last["model"] = (-l, -d * grad,
+                         -(d[:, None] * hess * d[None, :] + np.diag(d2 * grad)))
+        return last
 
-    for it in range(max_iter + 1):
-        grad, hess = score_and_hessian(data, p, plan)
+    def accept(z: np.ndarray) -> str | None:
+        """Record the point z as a FitState; the stop reason, if any."""
+        p, l, grad, hess = evaluate(z)["natural"]
         gn = float(np.linalg.norm(grad))
         me = max_eigenvalue(hess)
-        states.append(FitState(p, l_cur, grad, hess, gn, me, it))
-
+        states.append(FitState(p, l, grad, hess, gn, me, len(states)))
         if gn <= grad_tol and me <= 0.0:
-            return FitTrace(tuple(states), True, "GradientTol")
-        if it == max_iter:
-            return FitTrace(tuple(states), False, "MaxIter")
+            return "GradientTol"
+        if len(states) > max_iter:
+            return "MaxIter"
+        return None
 
-        v0 = p.as_vector()
-        step = solve_step(hess, -grad)
-        singular = step is None
+    z_cur = _coordinates(init)
+    evaluate(z_cur, init)
+    reason = accept(z_cur)
 
-        cand = l_new = None
-        if me < 0.0 and step is not None:
-            cand, l_new = line_search(v0, step)
+    def callback(z: np.ndarray) -> None:
+        nonlocal z_cur, reason
+        if not np.array_equal(z, z_cur):  # else scipy rejected the step
+            z_cur, reason = z, accept(z)
+            if reason is not None:
+                raise StopIteration
 
-        if cand is None:
-            # shifted-Newton rescue for indefinite/singular Hessians
-            tau = me + max(1.0, 1e-3 * float(np.abs(np.diag(hess)).max()))
-            eye = np.eye(hess.shape[0])
-            for _ in range(9):
-                step = solve_step(hess - tau * eye, -grad)
-                if step is not None:
-                    cand, l_new = line_search(v0, step)
-                    if cand is not None:
-                        break
-                tau *= 10.0
-
-        if cand is None:
-            cand, l_new = line_search(v0, grad / max(gn, 1.0))
-        if cand is None:
-            reason = "SingularHessian" if singular else "LineSearchFail"
-            return FitTrace(tuple(states), False, reason)
-        p, l_cur = cand, l_new
-
-    raise AssertionError("unreachable")
+    if reason is None:
+        res = minimize(lambda z: evaluate(z)["model"][0], z_cur, method="trust-exact",
+                       jac=lambda z: evaluate(z)["model"][1],
+                       hess=lambda z: evaluate(z)["model"][2],
+                       callback=callback, options={"gtol": 0.0})  # callback stops
+        if reason is None:
+            reason = {1: "MaxIter", 3: "SingularHessian"}.get(res.status, "NoProgress")
+    return FitTrace(tuple(states), reason == "GradientTol", reason)
 
 
 def trace_rows(trace: FitTrace) -> list[list]:

@@ -69,19 +69,18 @@ def end_corrected_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """PDF/CDF on a uniform grid plus monotone interpolants.
+    """PDF/CDF on a uniform grid plus the monotone inverse CDF.
 
     ``pdf`` is clipped nonnegative and renormalized to unit trapezoid mass;
     ``cdf`` is the renormalized cumulative trapezoid.  ``quantile_table`` is
     the monotone (PCHIP) inverse of the cdf restricted to its strictly
-    increasing section; ``pdf_interp`` interpolates the pdf the same way.
+    increasing section; ``pdf_at`` builds a pdf PCHIP on each call.
     """
 
     x: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray
     quantile_table: PchipInterpolator = field(repr=False)
-    pdf_interp: PchipInterpolator = field(repr=False)
     raw_mass: float = 1.0
 
     def __post_init__(self):
@@ -93,7 +92,8 @@ class DensityGrid:
 
     def pdf_at(self, x):
         """PDF interpolated at arbitrary points; zero outside the grid."""
-        out = self.pdf_interp(np.asarray(x, dtype=float))
+        interp = PchipInterpolator(self.x, self.pdf, extrapolate=False)
+        out = interp(np.asarray(x, dtype=float))
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 
     def cdf_at(self, x):
@@ -208,7 +208,7 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
     than 1e-3; tiny negative ringing lobes are clipped to zero and the grid
     renormalized.
     """
-    # the exponent runs before the plan exists and the interpolants are built
+    # the exponent runs before the plan exists and the quantile PCHIP is built
     # after it is gone, so the plan's arrays never add to either peak
     cf_half = np.exp(exponent(half_frequencies(g)))
     plan = InversionPlan(g)
@@ -221,8 +221,7 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
 
     keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
     inv = PchipInterpolator(cdf[keep], x[keep], extrapolate=False)
-    interp = PchipInterpolator(x, pdf, extrapolate=False)
-    return DensityGrid(x, pdf, cdf, inv, interp, raw_mass=mass)
+    return DensityGrid(x, pdf, cdf, inv, raw_mass=mass)
 
 
 def cf_on_grid(d: DensityGrid, xi) -> np.ndarray:

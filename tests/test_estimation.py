@@ -1,5 +1,5 @@
-"""Newton-Raphson MLE machinery: eigenvalue extraction, likelihood
-evaluation, the analytic score and Hessian, and the damped ascent loop."""
+"""MLE machinery: eigenvalue extraction, likelihood evaluation, the analytic
+score and Hessian, and the trust-region Newton fit."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from gtsou import (
     trace_rows,
 )
 from gtsou.estimation import TRACE_COLUMNS
-from gtsou.inversion import InversionPlan
+from gtsou.inversion import InversionPlan, NormalizationError
 
 
 # --- max_eigenvalue ---------------------------------------------------------
@@ -46,8 +46,8 @@ def test_max_eigenvalue_random_symmetric():
 
 
 def test_max_eigenvalue_tiny_offdiagonal():
-    # a denormal off-diagonal entry must not overflow the rotation angle
-    # (benign underflow-to-zero of the off-diagonal norm is expected)
+    # a denormal off-diagonal entry must raise no overflow, invalid or
+    # divide-by-zero error in the eigensolver (underflow is benign)
     m = np.diag([3.0, 1.0])
     m[0, 1] = m[1, 0] = 5e-320
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -81,7 +81,7 @@ def crypto_sample():
                                        ("crypto_sample", CRYPTO_PARAMS)])
 def test_score_and_hessian_match_central_differences(sample, p, request):
     # the analytic score and Hessian differentiate the very objective the
-    # line search evaluates: central differences of log_likelihood converge
+    # fit evaluates: central differences of log_likelihood converge
     # to them (O(h^2); the beta steps need h ~ 1e-5 relative for 1e-5)
     data, g = request.getfixturevalue(sample)
     plan = InversionPlan(g)
@@ -248,3 +248,75 @@ def test_fit_iteration_budget(compact_fit):
     assert not capped.converged
     assert capped.reason == "MaxIter"
     assert len(capped.states) == 2
+
+
+STOP_REASONS = {"GradientTol", "MaxIter", "NoProgress", "SingularHessian"}
+
+
+def _monotone(trace) -> bool:
+    ll = [s.log_likelihood for s in trace.states]
+    return all(b >= a for a, b in zip(ll, ll[1:]))
+
+
+def test_fit_leaves_the_beta_boundary(compact_fit):
+    # t = 0 maps to beta_minus = 0 and the square map gives the fit negative
+    # curvature along t there, so it steps inward to the interior optimum
+    # (the damped-Newton fit reached -773.863824 from this start as well)
+    data, g, trace = compact_fit
+    start = moment_matched_init(data).replace(beta_minus=0.0)
+    fitted = fit(data, start, grad_tol=1e-2, max_iter=120, g=g)
+    assert fitted.reason == "GradientTol"
+    assert fitted.final.log_likelihood == pytest.approx(-773.8638, abs=1e-4)
+    assert _monotone(fitted)
+
+
+def test_fit_leaves_the_alpha_boundary(compact_fit):
+    # from alpha_minus = 0 (log-likelihood -134355) the fit passes the
+    # interior optimum and climbs the beta_minus -> 0 ridge to -773.734988,
+    # where it ends NoProgress.  The damped-Newton fit ended MaxIter at
+    # -938.508304 after 120 iterations, and a logit/log map cannot start here
+    data, g, _ = compact_fit
+    start = moment_matched_init(data).replace(alpha_minus=0.0)
+    fitted = fit(data, start, grad_tol=1e-2, max_iter=120, g=g)
+    assert fitted.reason in STOP_REASONS
+    assert fitted.final.params.alpha_minus > 0.1
+    assert fitted.final.log_likelihood >= -773.8638 - 1e-4
+    assert _monotone(fitted)
+
+
+def test_fit_on_the_beta_ridge_stops_with_a_reason():
+    # C8's recipe on a sample whose maximum lies on the boundary
+    # beta_minus -> 0.  On this grid the damped-Newton fit ended
+    # LineSearchFail after 164 iterations at log-likelihood -6860.865442
+    data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 5000, np.random.default_rng(1))
+    init = moment_matched_init(data)
+    trace = fit(data, init, grad_tol=1e-3, g=fit_grid(data, init, n_points=4096))
+    assert trace.converged is False
+    assert trace.reason in STOP_REASONS - {"GradientTol"}
+    assert _monotone(trace)
+    assert trace.final.params.beta_minus < 1e-3
+
+
+def test_fit_rejects_infeasible_proposals(compact_fit, monkeypatch):
+    # a likelihood that fails above a beta_plus cut: those proposals are
+    # rejected, never recorded, and the fit still converges below the cut
+    import gtsou.estimation as estimation
+
+    data, g, _ = compact_fit
+    init = moment_matched_init(data)
+    cut = init.beta_plus + 0.01
+    original = estimation.log_likelihood
+    refused = []
+
+    def cut_likelihood(data, p, g):
+        if p.beta_plus > cut:
+            refused.append(p.beta_plus)
+            raise NormalizationError(f"beta_plus={p.beta_plus:g} above the cut")
+        return original(data, p, g)
+
+    monkeypatch.setattr(estimation, "log_likelihood", cut_likelihood)
+    trace = fit(data, init, grad_tol=1e-2, max_iter=120, g=g)
+    assert refused
+    assert trace.converged
+    assert _monotone(trace)
+    assert all(s.params.beta_plus <= cut for s in trace.states)
