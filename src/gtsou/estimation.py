@@ -129,17 +129,20 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
     parameters, from differentiated characteristic functions.
 
     d/dtheta_j e^psi = psi_j e^psi and d2/dtheta_j dtheta_k e^psi =
-    (psi_jk + psi_j psi_k) e^psi (``psi_gts_derivatives``).  Each of these
-    1 + 7 + 28 spectra goes through the same unclipped inversion
-    (``InversionPlan.raw``) one at a time, and only the row's trapezoid mass
-    and its stencil values at the data are kept.  With q the clipped density
-    (its mask is fixed by the undifferentiated row), m its mass and
-    f_i = S_i q / m,
+    (psi_jk + psi_j psi_k) e^psi (``psi_gts_derivatives``).  With q the
+    clipped density (its mask is fixed by the undifferentiated row), m its
+    mass and f_i = S_i q / m,
 
         d log f_i = S_i dq / (m f_i) - dm / m,
 
-    and the second derivative follows by the quotient rule.  Observations
-    whose density sits on the 1e-300 floor contribute nothing.
+    and the second derivative follows by the quotient rule.  Each of the 7
+    first-derivative spectra is inverted (``InversionPlan.raw``) for its
+    stencil values at the data and its mass.  The 28 second-derivative
+    spectra enter only through sum_i S_i d2q / (m f_i) and d2m / m, two fixed
+    linear functionals of the unclipped row, so ``InversionPlan.adjoint``
+    turns each functional into one half spectrum and every Hessian entry into
+    two dot products: 10 FRFTs per call in all.  Observations whose density
+    sits on the 1e-300 floor contribute nothing.
     """
     plan, cf, pdf, mass, (idx, w), f = _density_at_data(data, p, g)
     live = f > PDF_FLOOR
@@ -147,27 +150,30 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
     keep = pdf > 0.0
     first, second = psi_gts_derivatives(plan.xi_half, p)
 
-    def row(spectrum) -> tuple:
-        """(dm / m, S_i dq / (m f_i)) of one differentiated spectrum."""
-        dq = np.where(keep, plan.raw(spectrum), 0.0) / mass
-        return float(np.trapezoid(dq, plan.x)), np.sum(dq[idx] * w, axis=1) / f
-
     n_obs, n_par = f.size, first.shape[0]
     dm = np.empty(n_par)
     du = np.empty((n_par, n_obs))
     for j in range(n_par):
-        dm[j], du[j] = row(first[j] * cf)
+        dq = np.where(keep, plan.raw(first[j] * cf), 0.0) / mass
+        dm[j], du[j] = np.trapezoid(dq, plan.x), np.sum(dq[idx] * w, axis=1) / f
     grad = du.sum(axis=1) - n_obs * dm
-    hess = np.empty((n_par, n_par))
-    for j in range(n_par):
-        for k in range(j, n_par):
-            spectrum = first[j] * first[k]
-            if (j, k) in second:
-                spectrum += second[j, k]
-            d2m, d2u = row(spectrum * cf)
-            hess[j, k] = hess[k, j] = (d2u.sum() - du[j] @ du[k]
-                                       - n_obs * (d2m - dm[j] * dm[k]))
-    return grad, hess
+
+    def functional(c) -> np.ndarray:
+        """c . d2q / m for each pair (j, k): the Hessian-shaped value of the
+        weights c on the clipped second-derivative rows, valid for j <= k."""
+        a = plan.adjoint(np.where(keep, c, 0.0) / mass) * cf
+        out = np.real((first * a) @ first.T)
+        for (j, k), s in second.items():  # j <= k
+            out[j, k] += np.real(a @ s)
+        return out
+
+    h = 0.5 * np.diff(plan.x)
+    trapezoid = np.append(h, 0.0) + np.insert(h, 0, 0.0)
+    d2u = functional(np.bincount(idx.ravel(), (w / f[:, None]).ravel(),
+                                 minlength=plan.x.size))
+    d2m = functional(trapezoid)
+    hess = d2u - du @ du.T - n_obs * (d2m - np.outer(dm, dm))
+    return grad, np.triu(hess) + np.triu(hess, 1).T
 
 
 def max_eigenvalue(h) -> float:
@@ -257,7 +263,10 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     whenever l rises inward, so the fit can leave the boundary.  Gradient and
     Hessian follow from ``score_and_hessian`` by the chain rule, g_z = D g
     and H_z = D H D + diag(D2 g).  An infeasible proposal gets +inf and fails
-    the ratio test.
+    the ratio test; a proposal whose likelihood does not rise fails it too,
+    so its score and Hessian are never computed.  ``score_and_hessian`` then
+    runs once per recorded state, plus once per rising proposal that the
+    ratio test still rejects.
 
     Each accepted point becomes a FitState in the natural parameters.  Stop
     reasons: GradientTol (gradient_norm <= grad_tol and max_eigenvalue <= 0),
@@ -273,21 +282,28 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
 
     def evaluate(z: np.ndarray, p: GtsParams | None = None) -> dict:
         """-l, its z-gradient and z-Hessian, and the natural values, from one
-        likelihood and one score/Hessian call; +inf and zeros (scipy builds a
-        model before rejecting) when infeasible.  ``p`` is z's exact params."""
+        likelihood and one score/Hessian call.  scipy builds the model of
+        every proposal before its ratio test, so a proposal that cannot pass
+        it gets zeros in place of the score and Hessian: +inf when
+        infeasible, and -l without the score call when l does not rise above
+        the last accepted point's.  ``p`` is z's exact params."""
         if np.array_equal(last.get("z"), z):
             return last
         last.clear()
         last["z"] = z.copy()
         v, d, d2 = _from_coordinates(z)
+        zeros = np.zeros(z.size), np.zeros((z.size, z.size))
         try:
             p = GtsParams.from_vector(v) if p is None else p
             l = log_likelihood(data, p, plan)
+            if states and not l > states[-1].log_likelihood:
+                last["model"] = (-l, *zeros)
+                return last
             grad, hess = score_and_hessian(data, p, plan)
         except (NormalizationError, ValueError, ArithmeticError):
             if not states:  # the start's errors propagate
                 raise
-            last["model"] = np.inf, np.zeros(z.size), np.zeros((z.size, z.size))
+            last["model"] = (np.inf, *zeros)
             return last
         last["natural"] = p, l, grad, hess
         last["model"] = (-l, -d * grad,

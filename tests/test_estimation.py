@@ -19,7 +19,7 @@ from gtsou import (
     trace_rows,
 )
 from gtsou.estimation import TRACE_COLUMNS
-from gtsou.inversion import InversionPlan, NormalizationError
+from gtsou.inversion import GridSpec, InversionPlan, NormalizationError
 
 
 # --- max_eigenvalue ---------------------------------------------------------
@@ -109,6 +109,74 @@ def test_score_and_hessian_match_central_differences(sample, p, request):
     assert np.array_equal(hess, hess.T)
 
 
+def streamed_score_and_hessian(data, p, g):
+    """Reference score and Hessian that inverts every one of the 7 + 28
+    differentiated spectra through ``InversionPlan.raw``, one at a time."""
+    from gtsou.estimation import PDF_FLOOR, _density_at_data
+    from gtsou.exponents import psi_gts_derivatives
+
+    plan, cf, pdf, mass, (idx, w), f = _density_at_data(data, p, g)
+    live = f > PDF_FLOOR
+    idx, w, f = idx[live], w[live], f[live]
+    keep = pdf > 0.0
+    first, second = psi_gts_derivatives(plan.xi_half, p)
+
+    def row(spectrum):
+        dq = np.where(keep, plan.raw(spectrum), 0.0) / mass
+        return float(np.trapezoid(dq, plan.x)), np.sum(dq[idx] * w, axis=1) / f
+
+    n_obs, n_par = f.size, first.shape[0]
+    dm = np.empty(n_par)
+    du = np.empty((n_par, n_obs))
+    for j in range(n_par):
+        dm[j], du[j] = row(first[j] * cf)
+    grad = du.sum(axis=1) - n_obs * dm
+    hess = np.empty((n_par, n_par))
+    for j in range(n_par):
+        for k in range(j, n_par):
+            spectrum = first[j] * first[k]
+            if (j, k) in second:
+                spectrum += second[j, k]
+            d2m, d2u = row(spectrum * cf)
+            hess[j, k] = hess[k, j] = (d2u.sum() - du[j] @ du[k]
+                                       - n_obs * (d2m - dm[j] * dm[k]))
+    return grad, hess, live
+
+
+@pytest.mark.parametrize("sample, p, outlier", [
+    ("equity_sample", EQUITY_PARAMS, None),
+    ("crypto_sample", CRYPTO_PARAMS, None),
+    # far enough out that the grid density there is clipped ringing: the
+    # observation sits on the 1e-300 floor and drops out of both functionals
+    ("equity_sample", EQUITY_PARAMS, 60.0),
+])
+def test_adjoint_hessian_matches_streamed_rows(sample, p, outlier, request):
+    data, g = request.getfixturevalue(sample)
+    if outlier is not None:
+        data = np.append(data, [outlier])
+    plan = InversionPlan(g)
+    grad, hess = score_and_hessian(data, p, plan)
+    ref_grad, ref_hess, live = streamed_score_and_hessian(data, p, plan)
+    assert live.all() == (outlier is None)
+    assert np.array_equal(grad, ref_grad)
+    assert np.linalg.norm(hess - ref_hess) <= 1e-12 * np.linalg.norm(ref_hess)
+    assert np.array_equal(hess, hess.T)
+
+
+def test_score_and_hessian_runs_ten_transforms(equity_sample, monkeypatch):
+    # the density, the 7 first-derivative rows and the 2 adjoints
+    from gtsou.frft import FrftPlan
+
+    data, g = equity_sample
+    plan = InversionPlan(g)
+    calls = []
+    original = FrftPlan.__call__
+    monkeypatch.setattr(FrftPlan, "__call__",
+                        lambda self, seq: calls.append(1) or original(self, seq))
+    score_and_hessian(data, EQUITY_PARAMS, plan)
+    assert len(calls) == 10
+
+
 def test_log_likelihood_plan_reuse_is_bit_identical():
     # C8's sample and start: one plan reused over the start and 14 points one
     # relative offset away along each coordinate gives exactly the GridSpec
@@ -183,6 +251,15 @@ def test_log_likelihood_expands_range_for_outliers(equity_sample):
     assert np.isfinite(val)
 
 
+def test_log_likelihood_raises_on_non_finite_mass():
+    # alpha_plus = 1e308 overflows the exponent to NaN; the likelihood must
+    # name the cause rather than return nan
+    p = GtsParams(0.0, 0.5, 0.5, 1e308, 0.0, 1e300, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NormalizationError, match="not finite"):
+            log_likelihood(np.linspace(-1.0, 1.0, 50), p, GridSpec(1024, -5.0, 5.0, 50.0))
+
+
 def test_log_likelihood_input_validation(equity_sample):
     data, g = equity_sample
     with pytest.raises(ValueError):
@@ -231,6 +308,31 @@ def test_fit_trace_rows_layout(compact_fit):
     assert TRACE_COLUMNS[0] == "Iterations"
     assert TRACE_COLUMNS[-2:] == ("||dLog(ML)/dV||", "Max Eigen Value")
     assert TRACE_COLUMNS[-3] == "Log(ML)"
+
+
+def test_fit_scores_only_rising_points(compact_fit, monkeypatch):
+    # a proposal whose likelihood does not rise fails the ratio test, so the
+    # fit never asks for its score: on this sample every scored point is
+    # recorded, and the rejected proposals cost one likelihood each
+    import gtsou.estimation as estimation
+
+    data, g, _ = compact_fit
+    calls = {"score": 0, "likelihood": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(estimation, "score_and_hessian",
+                        counted("score", estimation.score_and_hessian))
+    monkeypatch.setattr(estimation, "log_likelihood",
+                        counted("likelihood", estimation.log_likelihood))
+    trace = fit(data, moment_matched_init(data), grad_tol=1e-2, max_iter=120, g=g)
+    assert calls["score"] == len(trace.states)
+    assert calls["likelihood"] > len(trace.states)
+    assert _monotone(trace)
 
 
 def test_fit_restart_at_optimum_stops_immediately(compact_fit):

@@ -130,6 +130,15 @@ def test_mass_check_raises_on_narrow_window():
         invert_cf(gaussian_exponent(), g)
 
 
+def test_mass_check_raises_on_non_finite_mass():
+    # a NaN mass fails every comparison, so it must be caught by name rather
+    # than reaching the quantile PCHIP as an empty cdf
+    g = GridSpec(n_points=1024, x_min=-5.0, x_max=5.0, xi_max=50.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NormalizationError, match="not finite"):
+            invert_cf(lambda xi: np.full(np.shape(xi), np.nan, dtype=complex), g)
+
+
 def test_pdf_interpolation_outside_grid_is_zero():
     g = default_grid(gaussian_exponent(), mean=0.3, std=1.7)
     d = invert_cf(gaussian_exponent(), g)
@@ -202,6 +211,19 @@ def test_plan_arrays_are_read_only():
                 plan.frft.chirp, plan.frft.kernel):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_adjoint_is_the_transpose_of_raw(n):
+    # c . raw(s) == Re(adjoint(c) . s) for real c and any half spectrum s, on
+    # a grid whose x-range is not centred, so the shift phase is not trivial
+    plan = InversionPlan(GridSpec(n_points=n, x_min=-3.0, x_max=7.5, xi_max=40.0))
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        c = rng.standard_normal(n)
+        s = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+        lhs = c @ plan.raw(s)
+        assert np.real(plan.adjoint(c) @ s) == pytest.approx(lhs, rel=1e-12)
 
 
 def test_alias_free_points_floor_and_cap():
