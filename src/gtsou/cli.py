@@ -18,7 +18,7 @@ import numpy as np
 from .cumulants import Marginal, cumulants, stationary_moments
 from .estimation import fit, moment_matched_init
 from .exponents import bdlp_exponent, psi_gts, sd_exponent
-from .inversion import GridSpec, default_grid, default_xi_max, invert_cf
+from .inversion import default_grid, invert_cf
 from .io import (SeriesKind, ingest, write_density_csv, write_exponent_csv,
                  write_json, write_paths_csv, write_trace_csv)
 from .levy import levy_density_bdlp, levy_density_gts, levy_density_sd
@@ -113,9 +113,8 @@ def cmd_density(args) -> int:
                      mode=_MODES[args.mode], seed=args.seed)
     exponent, levy_fn, mean, sd = _density_dispatch(args.law, p, c)
 
-    g = default_grid(exponent, mean, sd, n_points=args.grid_n, span=args.span)
-    if args.xi_max is not None:
-        g = GridSpec(g.n_points, g.x_min, g.x_max, args.xi_max)
+    g = default_grid(exponent, mean, sd, n_points=args.grid_n, span=args.span,
+                     xi_max=args.xi_max)
     grid = invert_cf(exponent, g)
 
     out = _out_path(args.out, f"density_{args.law}.csv")

@@ -274,9 +274,9 @@ def default_xi_max(exponent) -> float:
 
 
 def default_grid(exponent, mean: float, std: float, n_points: int = 16384,
-                 span: float = 15.0) -> GridSpec:
+                 span: float = 15.0, xi_max: float | None = None) -> GridSpec:
     """Grid spanning mean +- span standard deviations, frequency cutoff at
-    |cf| < 1e-12.
+    |cf| < 1e-12 unless ``xi_max`` is given.
 
     ``n_points`` is a floor, not a pin: the trapezoid inversion periodizes
     the density with period 2*pi/dxi (Poisson summation), so for slowly
@@ -286,7 +286,8 @@ def default_grid(exponent, mean: float, std: float, n_points: int = 16384,
     """
     x_min = mean - span * std
     x_max = mean + span * std
-    xi_max = default_xi_max(exponent)
+    if xi_max is None:
+        xi_max = default_xi_max(exponent)
     n = alias_free_points(n_points, xi_max, x_max - x_min)
     return GridSpec(n_points=n, x_min=x_min, x_max=x_max, xi_max=xi_max)
 

@@ -15,8 +15,6 @@ import numpy as np
 from .estimation import TRACE_COLUMNS, FitTrace, trace_rows
 from .inversion import DensityGrid
 
-FLOAT_FMT = "%.15g"
-
 
 class SeriesKind(enum.Enum):
     PRICES = "prices"
@@ -38,10 +36,6 @@ class ReturnSeries:
             raise ValueError("a return series must contain only finite values")
         object.__setattr__(self, "values", v)
         self.values.setflags(write=False)
-
-
-def _fmt(x) -> str:
-    return FLOAT_FMT % float(x)
 
 
 def ingest(path, kind: SeriesKind) -> ReturnSeries:
@@ -80,46 +74,50 @@ def ingest(path, kind: SeriesKind) -> ReturnSeries:
     return ReturnSeries(values, source=str(path))
 
 
-def emit_series(path, series: ReturnSeries) -> None:
+def _write_table(path, header, row_fmt: str, rows) -> None:
+    """Header plus one ``row_fmt % row`` line per row, with the ``\\r\\n``
+    terminators and unquoted cells that ``csv.writer`` gives these tables."""
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["return"])
-        for v in series.values:
-            out.writerow([_fmt(v)])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_fmt % row for row in rows)
+
+
+def emit_series(path, series: ReturnSeries) -> None:
+    _write_table(path, ["return"], "%.15g\r\n",
+                 zip(series.values.tolist()))
 
 
 def write_density_csv(path, grid: DensityGrid, levy_fn=None) -> None:
     """x / pdf / cdf table, with a Levy-density column when a formula applies
-    (blank where it does not, e.g. at x = 0 or for increment laws)."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["x", "pdf", "cdf", "levy_density"])
-        for x, f, c in zip(grid.x, grid.pdf, grid.cdf):
-            if levy_fn is None or x == 0.0:
-                lv = ""
-            else:
-                lv = _fmt(levy_fn(x))
-            out.writerow([_fmt(x), _fmt(f), _fmt(c), lv])
+    (blank where it does not, e.g. at x = 0 or for increment laws).
+
+    ``levy_fn`` takes an array: it is called once, on every nonzero x node.
+    """
+    levy = [""] * grid.x.size
+    if levy_fn is not None:
+        nonzero = np.flatnonzero(grid.x)
+        for i, v in zip(nonzero.tolist(), np.asarray(levy_fn(grid.x[nonzero])).tolist()):
+            levy[i] = "%.15g" % v
+    _write_table(path, ["x", "pdf", "cdf", "levy_density"],
+                 "%.15g,%.15g,%.15g,%s\r\n",
+                 zip(grid.x.tolist(), grid.pdf.tolist(), grid.cdf.tolist(), levy))
 
 
 def write_exponent_csv(path, xi, values) -> None:
     """Frequency / real part / imaginary part of a characteristic exponent."""
     values = np.asarray(values)
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["xi", "re_exponent", "im_exponent"])
-        for u, v in zip(np.asarray(xi, dtype=float), values):
-            out.writerow([_fmt(u), _fmt(v.real), _fmt(v.imag)])
+    _write_table(path, ["xi", "re_exponent", "im_exponent"],
+                 "%.15g,%.15g,%.15g\r\n",
+                 zip(np.asarray(xi, dtype=float).tolist(),
+                     values.real.tolist(), values.imag.tolist()))
 
 
 def write_trace_csv(path, trace: FitTrace) -> None:
     """Iteration table: step index, the seven parameters, the log-likelihood,
     its gradient norm, and the largest Hessian eigenvalue."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(TRACE_COLUMNS)
-        for row in trace_rows(trace):
-            out.writerow([str(row[0])] + [_fmt(v) for v in row[1:]])
+    _write_table(path, TRACE_COLUMNS,
+                 "%d" + ",%.15g" * (len(TRACE_COLUMNS) - 1) + "\r\n",
+                 map(tuple, trace_rows(trace)))
 
 
 def write_paths_csv(path, paths) -> None:
@@ -129,11 +127,9 @@ def write_paths_csv(path, paths) -> None:
     n = len(paths[0].x)
     if any(len(sp.x) != n for sp in paths):
         raise ValueError("paths must share a common length")
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["step"] + [f"path_{i}" for i in range(len(paths))])
-        for k in range(n):
-            out.writerow([str(k)] + [_fmt(sp.x[k]) for sp in paths])
+    _write_table(path, ["step"] + [f"path_{i}" for i in range(len(paths))],
+                 "%d" + ",%.15g" * len(paths) + "\r\n",
+                 zip(range(n), *(sp.x.tolist() for sp in paths)))
 
 
 def write_json(path, payload: dict) -> None:

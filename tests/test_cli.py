@@ -171,6 +171,23 @@ def test_density_writes_tables(tmp_path, monkeypatch, capsys):
     assert len(exp_rows) == 1002
 
 
+def test_density_xi_max_override_sizes_alias_free_grid(tmp_path, monkeypatch, capsys):
+    # a cutoff far above the automatic one needs more points than the
+    # automatic grid to keep the Poisson-summation period over the window
+    def table(name, extra):
+        code, out, err = run_cli(["density", "--params", "equity", "--law", "gts",
+                                  "--out", name] + extra, tmp_path, monkeypatch, capsys)
+        assert code == 0, err
+        data = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, usecols=(0, 1))
+        return out, data[:, 0], data[:, 1]
+
+    _, x_auto, pdf_auto = table("auto.csv", [])
+    out, x, pdf = table("wide.csv", ["--xi-max", "4000"])
+    assert "65536 points" in out and x.size == 65536
+    assert (x[0], x[-1]) == (x_auto[0], x_auto[-1])
+    assert np.max(np.abs(np.interp(x_auto, x, pdf) - pdf_auto)) < 1e-6
+
+
 def test_density_increment_law(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(
         ["density", "--params", "equity", "--law", "increment", "--mode", "sd",

@@ -15,6 +15,7 @@ from gtsou import (
     bdlp_exponent,
     cumulants,
     default_xi_max,
+    increment_cumulants,
     increment_exponent,
     marginal_exponent,
     psi_gts,
@@ -23,7 +24,8 @@ from gtsou import (
     sd_exponent_unit_form,
 )
 from gtsou.exponents import psi_gts_derivatives
-from gtsou.ou import _GL32_NODES, _GL32_WEIGHTS, _SD_CHUNK
+from gtsou.inversion import default_grid, half_frequencies
+from gtsou.ou import _GL8_NODES, _GL8_WEIGHTS, _SD_CHUNK
 
 XI = np.linspace(-10.0, 10.0, 41)
 XI_NONZERO = XI[XI != 0.0]
@@ -179,20 +181,37 @@ def test_increment_exponent_sd_difference():
 
 def test_increment_exponent_sd_blocks_match_one_block():
     # more frequencies than one block: each row equals the one-block formula
-    c = OuConfig(lambda_rate=2.0, dt=1.0, mode=Marginal.SD)  # two panels
+    c = OuConfig(lambda_rate=2.0, dt=1.0, mode=Marginal.SD)  # four panels
     xi = np.linspace(-40.0, 40.0, _SD_CHUNK + 1000)
-    edges = np.linspace(0.0, c.lambda_rate * c.dt, 3)
+    edges = np.linspace(0.0, c.lambda_rate * c.dt, 5)
 
     def one_block(x):
         out = np.zeros(x.size, dtype=complex)
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
-            s = 0.5 * (hi + lo) + half * _GL32_NODES
-            out += half * (psi_gts(np.outer(x, np.exp(-s)), CRYPTO_PARAMS) @ _GL32_WEIGHTS)
+            s = 0.5 * (hi + lo) + half * _GL8_NODES
+            out += half * (psi_gts(np.outer(x, np.exp(-s)), CRYPTO_PARAMS) @ _GL8_WEIGHTS)
         return out
 
     assert np.array_equal(increment_exponent(xi, CRYPTO_PARAMS, c), one_block(xi))
     assert increment_exponent(xi[7], CRYPTO_PARAMS, c) == one_block(xi[7:8])[0]
+
+
+def test_increment_exponent_sd_matches_mpmath_at_top_frequency():
+    # the crypto SD sampler at lambda = 0.1: its grid's highest frequency is
+    # where the 8-node panel sees the fastest-turning integrand
+    c = OuConfig(lambda_rate=0.1, dt=1.0, mode=Marginal.SD)
+    k = increment_cumulants(CRYPTO_PARAMS, c, 2)
+    inc = lambda x: increment_exponent(x, CRYPTO_PARAMS, c)
+    g = default_grid(inc, k[1], float(np.sqrt(k[2])), n_points=8192, span=20.0)
+    xi = float(half_frequencies(g)[-1])
+    assert xi == pytest.approx(g.xi_max) and xi > 1e4
+    v = [mp.mpf(t) for t in CRYPTO_PARAMS.as_vector()]
+    with mp.workdps(40):
+        ref = complex(mp.quad(lambda s: _mp_psi_gts(xi * mp.exp(-s), v),
+                              [0, mp.mpf(c.lambda_rate * c.dt)]))
+    got = inc(np.array([xi]))[0]
+    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_increment_plus_scaled_marginal_recomposes():
