@@ -154,13 +154,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_moments(args) -> int:
     p = _load_params(args.params)
-    payload = {}
-    for tag, mode in _MODES.items():
-        sm = stationary_moments(p, mode)
-        payload[tag] = {
-            "mean": sm.mean, "variance": sm.variance, "std_dev": sm.std_dev,
-            "skewness": sm.skewness, "kurtosis": sm.kurtosis,
-        }
+    payload = {tag: stationary_moments(p, mode).as_dict() for tag, mode in _MODES.items()}
     k = cumulants(p, 4)
     payload["cumulants"] = {f"kappa{i}": k[i] for i in range(1, 5)}
 

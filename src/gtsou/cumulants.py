@@ -45,12 +45,10 @@ def cumulants(p: GtsParams, K: int = 4) -> Cumulants:
         raise ValueError("K must be >= 1")
     out = []
     for k in range(1, K + 1):
-        plus = p.alpha_plus * _gamma(k - p.beta_plus) / p.lambda_plus ** (k - p.beta_plus)
-        minus = p.alpha_minus * _gamma(k - p.beta_minus) / p.lambda_minus ** (k - p.beta_minus)
-        if k == 1:
-            out.append(p.mu + plus - minus)
-        else:
-            out.append(plus + (-1) ** k * minus)
+        total = p.mu if k == 1 else 0.0
+        for sign, beta, alpha, lam in p.sides():
+            total += sign**k * alpha * _gamma(k - beta) / lam ** (k - beta)
+        out.append(total)
     return Cumulants(tuple(out))
 
 
@@ -71,6 +69,11 @@ class StationaryMoments:
     @property
     def std_dev(self) -> float:
         return float(np.sqrt(self.variance))
+
+    def as_dict(self) -> dict:
+        """mean, variance, std_dev, skewness, kurtosis (in that order)."""
+        return {"mean": self.mean, "variance": self.variance, "std_dev": self.std_dev,
+                "skewness": self.skewness, "kurtosis": self.kurtosis}
 
 
 def stationary_moments(p: GtsParams, mode: Marginal = Marginal.GTS) -> StationaryMoments:

@@ -36,6 +36,13 @@ def _cexpm1(z: np.ndarray) -> np.ndarray:
         + 1j * (np.exp(x) * np.sin(y))
 
 
+def _two_sided(x, p: GtsParams, one_sided):
+    """mu*i*x + one_sided(x, plus parameters) + one_sided(-x, minus parameters),
+    summed in that order."""
+    return sum((one_sided(sign * x, beta, alpha, lam)
+                for sign, beta, alpha, lam in p.sides()), 1j * p.mu * x)
+
+
 def psi_one_sided(xi, beta: float, alpha: float, lam: float):
     """One-sided exponent alpha * Gamma(-beta) * ((lam - i xi)^beta - lam^beta).
 
@@ -148,11 +155,9 @@ def psi_gts_derivatives(xi, p: GtsParams) -> tuple:
     first = np.empty((len(PARAM_NAMES),) + x.shape, dtype=complex)
     first[0] = 1j * x
     second = {}
-    for side, name, sign in ((0, "plus", 1.0), (1, "minus", -1.0)):
+    for side, (sign, beta, alpha, lam) in enumerate(p.sides()):
         index = (1 + side, 3 + side, 5 + side)  # beta, alpha, lambda
-        d1, d2 = psi_one_sided_derivatives(
-            sign * x, getattr(p, f"beta_{name}"), getattr(p, f"alpha_{name}"),
-            getattr(p, f"lambda_{name}"))
+        d1, d2 = psi_one_sided_derivatives(sign * x, beta, alpha, lam)
         for j, d in zip(index, d1):
             first[j] = d
         for (j, k), d in d2.items():
@@ -163,12 +168,13 @@ def psi_gts_derivatives(xi, p: GtsParams) -> tuple:
 def psi_gts(xi, p: GtsParams):
     """Exponent of the GTS law: mu*xi*i + Psi+(xi) + Psi-(-xi)."""
     x, scalar = _as_array(xi)
-    out = (
-        1j * p.mu * x
-        + psi_one_sided(x, p.beta_plus, p.alpha_plus, p.lambda_plus)
-        + psi_one_sided(-x, p.beta_minus, p.alpha_minus, p.lambda_minus)
-    )
+    out = _two_sided(x, p, psi_one_sided)
     return complex(out) if scalar else out
+
+
+def _bdlp_one_sided(y, beta, alpha, lam):
+    iy = 1j * np.asarray(y)  # numpy's complex power for scalar y too
+    return alpha * _gamma(1.0 - beta) * iy / (lam - iy) ** (1.0 - beta)
 
 
 def bdlp_exponent(xi, p: GtsParams):
@@ -179,18 +185,7 @@ def bdlp_exponent(xi, p: GtsParams):
     which equals xi * d(psi_gts)/dxi.
     """
     y, scalar = _as_array(xi)
-    iy = 1j * y
-    out = (
-        1j * p.mu * y
-        + p.alpha_plus
-        * _gamma(1.0 - p.beta_plus)
-        * iy
-        / (p.lambda_plus - iy) ** (1.0 - p.beta_plus)
-        + p.alpha_minus
-        * _gamma(1.0 - p.beta_minus)
-        * (-iy)
-        / (p.lambda_minus + iy) ** (1.0 - p.beta_minus)
-    )
+    out = _two_sided(y, p, _bdlp_one_sided)
     return complex(out) if scalar else out
 
 
@@ -275,8 +270,4 @@ def sd_exponent_unit_form(xi, p: GtsParams):
             )
         return complex(val)
 
-    return (
-        1j * p.mu * xi
-        + one_sided(xi, p.beta_plus, p.alpha_plus, p.lambda_plus)
-        + one_sided(-xi, p.beta_minus, p.alpha_minus, p.lambda_minus)
-    )
+    return _two_sided(xi, p, one_sided)

@@ -50,6 +50,8 @@ class OuConfig:
             raise ValueError("n_steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.x0 is not None and not np.isfinite(self.x0):
+            raise ValueError(f"x0={self.x0} must be finite")
 
     @property
     def a(self) -> float:
@@ -259,12 +261,7 @@ class MomentReport:
 
     def table_rows(self) -> list:
         """(indicator, exact, empirical, error %) for the four headline rows."""
-        exact = {
-            "mean": self.theoretical.mean,
-            "std_dev": self.theoretical.std_dev,
-            "skewness": self.theoretical.skewness,
-            "kurtosis": self.theoretical.kurtosis,
-        }
+        exact = self.theoretical.as_dict()
         return [
             (name, exact[name], self.empirical[name], self.relative_error_pct[name])
             for name in self.INDICATORS
@@ -275,14 +272,8 @@ class MomentReport:
             "n_observations": self.n_observations,
             "degenerate": self.degenerate,
             "empirical": dict(self.empirical),
-            "theoretical": {
-                "mean": self.theoretical.mean,
-                "variance": self.theoretical.variance,
-                "std_dev": self.theoretical.std_dev,
-                "skewness": self.theoretical.skewness,
-                "kurtosis": self.theoretical.kurtosis,
-                "mode": self.theoretical.mode.value,
-            },
+            "theoretical": {**self.theoretical.as_dict(),
+                            "mode": self.theoretical.mode.value},
             "relative_error_pct": dict(self.relative_error_pct),
         }
 
@@ -295,8 +286,11 @@ def burn_in_length(c: OuConfig) -> int:
 
 
 def ensemble_moments(paths, p: GtsParams, c: OuConfig | None = None) -> MomentReport:
-    """One report over the pooled post-burn-in observations of many paths
-    (pooling is valid: every retained observation follows the stationary law)."""
+    """Sample moments of the pooled post-burn-in observations of one or more
+    paths against the exact stationary values (pooling is valid: every
+    retained observation follows the stationary law).  A zero-variance
+    sample is flagged degenerate: its shape indicators and their errors are
+    NaN."""
     if not paths:
         raise ValueError("no paths given")
     if c is None:
@@ -307,37 +301,21 @@ def ensemble_moments(paths, p: GtsParams, c: OuConfig | None = None) -> MomentRe
         pooled.append(path.x[burn:])
     values = np.concatenate(pooled)
     if values.size < 100:
-        raise ValueError("fewer than 100 pooled observations after burn-in")
+        raise ValueError(
+            f"only {values.size} observations remain after burn-in; need at least 100"
+        )
     return _report_from_values(values, p, c)
 
 
 def path_moments(path: SamplePath, p: GtsParams, c: OuConfig | None = None) -> MomentReport:
-    """Sample moments of the (post burn-in) path against the exact stationary
-    values.  A zero-variance path is flagged degenerate: its shape indicators
-    and their errors are NaN.
-    """
-    if c is None:
-        c = path.config
-    burn = 0 if path.stationary_start else burn_in_length(c)
-    values = path.x[burn:]
-    if values.size < 100:
-        raise ValueError(
-            f"only {values.size} observations remain after a burn-in of {burn}; "
-            "need at least 100"
-        )
-    return _report_from_values(values, p, c)
+    """``ensemble_moments`` of a single path."""
+    return ensemble_moments([path], p, c)
 
 
 def _report_from_values(values: np.ndarray, p: GtsParams, c: OuConfig) -> MomentReport:
     emp = empirical_moments(values)
     theo = stationary_moments(p, c.mode)
-    exact = {
-        "mean": theo.mean,
-        "variance": theo.variance,
-        "std_dev": theo.std_dev,
-        "skewness": theo.skewness,
-        "kurtosis": theo.kurtosis,
-    }
+    exact = theo.as_dict()
     errors = {
         k: 100.0 * (emp[k] - exact[k]) / abs(exact[k]) if np.isfinite(emp[k]) else float("nan")
         for k in exact

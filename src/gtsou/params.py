@@ -48,10 +48,7 @@ class GtsParams:
         """Raise ValueError with a named diagnostic if any field is out of domain."""
         if not np.isfinite(self.as_vector()).all():
             raise ValueError("GTS parameters must all be finite")
-        for side in ("plus", "minus"):
-            beta = getattr(self, f"beta_{side}")
-            alpha = getattr(self, f"alpha_{side}")
-            lam = getattr(self, f"lambda_{side}")
+        for side, (_, beta, alpha, lam) in zip(("plus", "minus"), self.sides()):
             if not 0.0 <= beta < 1.0:
                 raise ValueError(
                     f"beta_{side}={beta:g} outside [0, 1): the finite-variation "
@@ -61,6 +58,13 @@ class GtsParams:
                 raise ValueError(f"alpha_{side}={alpha:g} must be >= 0")
             if lam <= 0.0:
                 raise ValueError(f"lambda_{side}={lam:g} must be > 0")
+
+    def sides(self) -> tuple:
+        """``(sign, beta, alpha, lambda)`` of the plus side (sign +1), then of
+        the minus side (sign -1).  Every two-sided quantity is its one-sided
+        formula evaluated at ``sign * x`` with one side's parameters."""
+        return ((1.0, self.beta_plus, self.alpha_plus, self.lambda_plus),
+                (-1.0, self.beta_minus, self.alpha_minus, self.lambda_minus))
 
     # -- conversions ------------------------------------------------------
 

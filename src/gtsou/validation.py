@@ -176,7 +176,7 @@ def check_exponent_identities() -> list:
 
     beta0_worst = 0.0
     for p in PRESETS.values():
-        for alpha, lam in ((p.alpha_plus, p.lambda_plus), (p.alpha_minus, p.lambda_minus)):
+        for _, _, alpha, lam in p.sides():
             got = psi_one_sided(grid, 1e-8, alpha, lam)
             limit = alpha * np.log(lam / (lam - 1j * grid))
             beta0_worst = max(beta0_worst, float(np.max(np.abs(got - limit))))
@@ -233,10 +233,7 @@ def check_sd_density_asymptotics(density_fn=levy_density_sd) -> list:
     t0 = time.perf_counter()
     clauses = []
     for name, p in PRESETS.items():
-        for side, sgn in (("plus", 1.0), ("minus", -1.0)):
-            beta = getattr(p, f"beta_{side}")
-            alpha = getattr(p, f"alpha_{side}")
-            lam = getattr(p, f"lambda_{side}")
+        for side, (sgn, beta, alpha, lam) in zip(("plus", "minus"), p.sides()):
             x = 1e-6
             form = alpha * x ** (-1.0 - beta) / beta + alpha * lam**beta * gamma(-beta) / x
             omitted = alpha * lam * x**-beta / (1.0 - beta)
@@ -267,17 +264,12 @@ def check_inversion_fidelity() -> list:
     clauses.append(_clause(f"gaussian sup-norm={sup:.2e} tol 1e-8", sup <= 1e-8))
 
     for name, p in PRESETS.items():
-        k = cumulants(p, 4)
+        sm = stationary_moments(p, Marginal.GTS)
         exponent = lambda xi, q=p: psi_gts(xi, q)
-        g = default_grid(exponent, k[1], float(np.sqrt(k[2])), span=18.0)
+        g = default_grid(exponent, sm.mean, sm.std_dev, span=18.0)
         mom = invert_cf(exponent, g).moments()
-        exact = {
-            "mean": k[1],
-            "variance": k[2],
-            "skewness": k[3] / k[2] ** 1.5,
-            "kurtosis": 3.0 + k[4] / k[2] ** 2,
-        }
-        worst = max(abs(mom[key] - exact[key]) / abs(exact[key]) for key in exact)
+        exact = sm.as_dict()
+        worst = max(abs(mom[key] - exact[key]) / abs(exact[key]) for key in mom)
         clauses.append(_clause(f"grid moments({name}) worst rel dev={worst:.2e} tol 1e-3",
                                worst <= 1e-3))
     return [_result("C6", "inversion fidelity: Gaussian closed form and grid "

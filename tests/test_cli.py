@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import gtsou
 from gtsou import (
     EQUITY_PARAMS,
     GtsParams,
@@ -223,6 +224,16 @@ def test_simulate_rejects_zero_paths(tmp_path, monkeypatch, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf"])
+def test_simulate_rejects_nonfinite_x0(tmp_path, monkeypatch, capsys, x0):
+    code, _, err = run_cli(
+        ["simulate", "--params", "equity", "--x0", x0, "--n-steps", "100"],
+        tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert err.startswith("error:") and "x0" in err
+    assert not (tmp_path / "paths_report.json").exists()
+
+
 def test_fit_writes_trace_and_params(tmp_path, monkeypatch, capsys):
     data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 400,
                            np.random.default_rng(23))
@@ -274,7 +285,11 @@ def test_out_dir_absolute_path_wins(tmp_path, monkeypatch, capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same gtsou as this process, installed or not
+    src = os.path.dirname(os.path.dirname(gtsou.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "gtsou", "moments",
-                           "--params", "equity"], capture_output=True, text=True)
+                           "--params", "equity"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "gts:" in proc.stdout

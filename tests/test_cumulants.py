@@ -115,6 +115,13 @@ def test_stationary_moment_relations():
         assert s.kurtosis == g.kurtosis == pytest.approx(3.0 + k[4] / k[2] ** 2, rel=1e-14)
 
 
+def test_stationary_moments_as_dict():
+    sm = stationary_moments(CRYPTO_PARAMS, Marginal.SD)
+    d = sm.as_dict()
+    assert list(d) == ["mean", "variance", "std_dev", "skewness", "kurtosis"]
+    assert d == {key: getattr(sm, key) for key in d}
+
+
 def test_increment_cumulants_factor():
     c = OuConfig(lambda_rate=0.25, dt=1.0, mode=Marginal.GTS)
     a = c.a

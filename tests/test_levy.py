@@ -115,9 +115,16 @@ def test_variation_diagnostics_integral():
 def test_variation_one_sided():
     one_sided = EQUITY_PARAMS.replace(alpha_minus=0.0)
     d = variation_diagnostics(one_sided)
+    assert d.activity is Activity.INFINITE
     inner, _ = quad(lambda y: y * levy_density_gts(y, one_sided), 0.0, 1.0)
     outer, _ = quad(lambda y: levy_density_gts(y, one_sided), 1.0, np.inf)
     assert d.variation_integral == pytest.approx(inner + outer, rel=1e-8)
+
+
+def test_no_jumps_is_finite_activity():
+    d = variation_diagnostics(EQUITY_PARAMS.replace(alpha_plus=0.0, alpha_minus=0.0))
+    assert d.activity is Activity.FINITE
+    assert d.variation_integral == 0.0
 
 
 def test_small_x_blowup_rates():

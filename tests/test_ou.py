@@ -46,6 +46,9 @@ def test_config_validation():
         OuConfig(lambda_rate=0.3, dt=1.0, n_steps=0)
     with pytest.raises(ValueError):
         OuConfig(lambda_rate=0.3, dt=1.0, seed=-1)
+    for x0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="x0"):
+            OuConfig(lambda_rate=0.3, dt=1.0, x0=x0)
 
 
 def test_increment_grid_mass(sampler):
@@ -184,7 +187,7 @@ def test_path_moments_needs_enough_observations(sampler):
                    x0=0.0)  # burn-in 100 leaves only 21 points
     s = build_increment_sampler(EQUITY_PARAMS, cfg)
     path = simulate_path(EQUITY_PARAMS, cfg, s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only 21 observations remain after burn-in"):
         path_moments(path, EQUITY_PARAMS)
 
 
