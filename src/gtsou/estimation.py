@@ -120,8 +120,12 @@ def log_likelihood(data, p: GtsParams, g: GridSpec | InversionPlan) -> float:
     1e-300 before the log.  If the data exceed the grid's x-range the range
     is expanded for this evaluation.
     """
-    f = _density_at_data(data, p, g)[-1]
-    return float(np.sum(np.log(np.maximum(f, PDF_FLOOR))))
+    return _log_likelihood(_density_at_data(data, p, g))
+
+
+def _log_likelihood(density: tuple) -> float:
+    """sum log f at the data, from one ``_density_at_data`` result."""
+    return float(np.sum(np.log(np.maximum(density[-1], PDF_FLOOR))))
 
 
 def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
@@ -144,7 +148,12 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
     two dot products: 10 FRFTs per call in all.  Observations whose density
     sits on the 1e-300 floor contribute nothing.
     """
-    plan, cf, pdf, mass, (idx, w), f = _density_at_data(data, p, g)
+    return _score_and_hessian(_density_at_data(data, p, g), p)
+
+
+def _score_and_hessian(density: tuple, p: GtsParams) -> tuple:
+    """``score_and_hessian`` from the ``_density_at_data`` result at p."""
+    plan, cf, pdf, mass, (idx, w), f = density
     live = f > PDF_FLOOR
     idx, w, f = idx[live], w[live], f[live]
     keep = pdf > 0.0
@@ -264,9 +273,10 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     Hessian follow from ``score_and_hessian`` by the chain rule, g_z = D g
     and H_z = D H D + diag(D2 g).  An infeasible proposal gets +inf and fails
     the ratio test; a proposal whose likelihood does not rise fails it too,
-    so its score and Hessian are never computed.  ``score_and_hessian`` then
-    runs once per recorded state, plus once per rising proposal that the
-    ratio test still rejects.
+    so its score and Hessian are never computed.  The score and Hessian then
+    come once per recorded state, plus once per rising proposal that the
+    ratio test still rejects, and reuse the density inverted for the
+    likelihood: one inversion per evaluated point.
 
     Each accepted point becomes a FitState in the natural parameters.  Stop
     reasons: GradientTol (gradient_norm <= grad_tol and max_eigenvalue <= 0),
@@ -295,11 +305,12 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
         zeros = np.zeros(z.size), np.zeros((z.size, z.size))
         try:
             p = GtsParams.from_vector(v) if p is None else p
-            l = log_likelihood(data, p, plan)
+            density = _density_at_data(data, p, plan)
+            l = _log_likelihood(density)
             if states and not l > states[-1].log_likelihood:
                 last["model"] = (-l, *zeros)
                 return last
-            grad, hess = score_and_hessian(data, p, plan)
+            grad, hess = _score_and_hessian(density, p)
         except (NormalizationError, ValueError, ArithmeticError):
             if not states:  # the start's errors propagate
                 raise

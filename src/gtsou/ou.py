@@ -4,30 +4,43 @@ driver), and one driven by a GTS process (self-decomposable marginal).
 
 The autoregression X_i = a X_{i-1} + y_i with a = e^{-lambda dt} is exact in
 law once y is drawn from the increment distribution, whose log-CF is
-phi(xi) - phi(a xi) for the marginal exponent phi.
+phi(xi) - phi(a xi) for the marginal exponent phi.  The increments are drawn
+exactly from the random-integral representation (Qu, Dassios & Zhao, "Exact
+simulation of Ornstein-Uhlenbeck tempered stable processes", J. Appl. Probab.
+2021): per side of the jump measure, a tempered stable variate plus a
+compound Poisson sum, with no grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import lfilter
+from scipy.special import exprel
+from scipy.special import gamma as _gamma
 
 from .cumulants import Cumulants, Marginal, StationaryMoments, cumulants, stationary_moments
 from .exponents import psi_gts, sd_exponent
 from .inversion import DensityGrid, default_grid, invert_cf, quantile
 from .params import GtsParams
+from .tempered import tempered_stable
 
 _GL8_NODES, _GL8_WEIGHTS = leggauss(8)
 # Widest panel of the SD increment quadrature (see increment_exponent).
 _SD_PANEL = 0.5
 # Frequencies per block of the SD increment quadrature.  Blocks bound the
 # (frequencies, nodes) temporaries of psi_gts whatever the grid size (the
-# crypto SD sampler at lambda = 0.1 has 2^20 frequencies), and the result is
-# bitwise the same as in one block.
+# crypto SD increment at lambda = 0.1 needs 2^20 frequencies), and the result
+# is bitwise the same as in one block.
 _SD_CHUNK = 2**14
+# Longest lambda dt drawn in one piece.  The random integral over T splits at
+# h into one over h plus e^-h times an independent one over T - h, so a long
+# step is a damped sum of short ones.  One piece would cost e^(beta T): the
+# CP rate and the TS parameter Lam both grow so (at T = 20, beta = 0.68,
+# about 1e6 CP jumps per increment); sub-steps of at most 1 cost O(T).
+_MAX_SUBSTEP = 1.0
 
 
 @dataclass(frozen=True)
@@ -155,19 +168,94 @@ def sample_marginal(p: GtsParams, mode: Marginal, n: int,
     return np.asarray(quantile(_marginal_grid(p, mode), _open_uniform(rng, n)))
 
 
+def _exprel2(x: float) -> float:
+    """(e^x - 1 - x) / x^2, which is 1/2 at x = 0."""
+    if abs(x) < 1e-3:
+        return 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0))
+    return (exprel(x) - 1.0) / x
+
+
+def _side_jumps(rng: np.random.Generator, n: int, beta: float, alpha: float,
+                lam: float, total: float, mode: Marginal) -> np.ndarray:
+    """n draws of one side's jump part of the increment, TS + CP, where
+    T = ``total`` = lambda dt and a = e^-T.
+
+    Splitting the increment's Levy density at e^(-lam x / a) leaves a TS law
+    with Levy density c x^(-1-beta) e^(-(lam/a) x), and a finite compound
+    Poisson (CP) remainder whose jumps are Gamma(1-beta, rate lam e^V) for a
+    random V in [0, T].  With k = alpha Gamma(1-beta) lam^beta:
+
+    * gts mode: c = alpha (1 - a^beta), CP rate k expm1(beta T)/beta, and V
+      has density ~ e^(beta V);
+    * sd mode: c = alpha (1 - a^beta)/beta, CP rate
+      k (expm1(beta T)/beta - T)/beta, and V has density ~ expm1(beta V).
+
+    Each is written with expm1/exprel so that it holds at beta = 0, where gts
+    mode has no TS part and its increment an atom."""
+    if mode is Marginal.GTS:
+        c = -alpha * np.expm1(-beta * total)
+        rate = total * exprel(beta * total)
+    else:
+        c = alpha * total * exprel(-beta * total)
+        rate = total * total * _exprel2(beta * total)
+    ts = tempered_stable(rng, n, beta, c, lam * np.exp(total))
+    counts = rng.poisson(alpha * _gamma(1.0 - beta) * lam**beta * rate, n)
+    v = _mixing_times(rng, int(counts.sum()), beta, total, mode)
+    jumps = rng.standard_gamma(1.0 - beta, v.size) / (lam * np.exp(v))
+    return ts + np.bincount(np.repeat(np.arange(n), counts), jumps, minlength=n)
+
+
+def _mixing_times(rng: np.random.Generator, n: int, beta: float, total: float,
+                  mode: Marginal) -> np.ndarray:
+    """n draws of V on [0, T] with density ~ e^(beta V) (gts), by inversion,
+    or ~ expm1(beta V) (sd), by rejection from the gts law with acceptance
+    (1 - e^(-beta V)) / (1 - e^(-beta T)) (V / T at beta = 0), at least 1/2
+    on average."""
+    def tilted(k):
+        u = rng.random(k)
+        return u * total if beta == 0.0 else np.log1p(u * np.expm1(beta * total)) / beta
+
+    if mode is Marginal.GTS:
+        return tilted(n)
+    kept, got = [], 0
+    top = total * exprel(-beta * total)
+    while got < n:
+        v = tilted(2 * (n - got) + 16)
+        v = v[rng.random(v.size) * top < v * exprel(-beta * v)]
+        kept.append(v)
+        got += v.size
+    return np.concatenate(kept)[:n] if kept else np.zeros(0)
+
+
 @dataclass(frozen=True)
 class IncrementSampler:
-    """Immutable handle holding the inverted increment density (and, when
-    paths start in the stationary regime, the marginal density as well).
-    Draws are inverse-transform: y = quantile(U)."""
+    """Immutable handle for exact increment draws (and, when paths start in
+    the stationary regime, the inverted marginal density, sampled by its
+    quantile).
+
+    An increment is mu (1 - a) plus, for each side (sign, beta, alpha, lambda)
+    of ``GtsParams.sides()``, sign times that side's TS + CP jump part
+    (``_side_jumps``).  When lambda dt exceeds ``_MAX_SUBSTEP`` the jump part
+    is the sum of n sub-step parts over h = lambda dt / n, the k-th damped by
+    e^(-kh).  ``draw`` reads its randomness from ``rng`` alone, so the same
+    stream gives the same draws."""
 
     params: GtsParams
     config: OuConfig
-    grid: DensityGrid
     marginal: DensityGrid | None = None
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.asarray(quantile(self.grid, _open_uniform(rng, size)))
+        c = self.config
+        total = c.lambda_rate * c.dt
+        n_sub = max(1, ceil(total / _MAX_SUBSTEP))
+        h = total / n_sub
+        jumps = np.zeros(size)
+        for _ in range(n_sub):
+            jumps *= np.exp(-h)
+            for sign, beta, alpha, lam in self.params.sides():
+                if alpha > 0.0:
+                    jumps += sign * _side_jumps(rng, size, beta, alpha, lam, h, c.mode)
+        return -self.params.mu * np.expm1(-total) + jumps
 
     def draw_stationary(self, rng: np.random.Generator) -> float:
         if self.marginal is None:
@@ -176,14 +264,10 @@ class IncrementSampler:
 
 
 def build_increment_sampler(p: GtsParams, c: OuConfig) -> IncrementSampler:
-    """Invert the increment CF once, on a grid sized from the increment's own
-    mean/sd, and wrap it for repeated quantile draws."""
-    inc_exp = lambda xi: increment_exponent(xi, p, c)
-    k = increment_cumulants(p, c, 2)
-    g = default_grid(inc_exp, k[1], float(np.sqrt(k[2])), n_points=8192, span=20.0)
-    grid = invert_cf(inc_exp, g)
+    """The exact increment sampler of (p, c); it inverts only the stationary
+    marginal, and only when paths start from it."""
     marginal = _marginal_grid(p, c.mode) if c.stationary_start else None
-    return IncrementSampler(p, c, grid, marginal)
+    return IncrementSampler(p, c, marginal)
 
 
 def simulate_path(p: GtsParams, c: OuConfig,
@@ -199,6 +283,8 @@ def simulate_path(p: GtsParams, c: OuConfig,
         sampler = build_increment_sampler(p, c)
     if sampler.config != c or sampler.params != p:
         raise ValueError("sampler was built for a different (params, config)")
+    from scipy.signal import lfilter  # importing scipy.signal costs ~0.4 s
+
     if rng is None:
         rng = np.random.default_rng(c.seed)
 

@@ -1,0 +1,176 @@
+"""Exact variates of the one-sided tempered stable (TS) law: the law with
+Levy density c x^(-1-beta) e^(-theta x) on x > 0 and no drift.
+
+Write Lam = c Gamma(1-beta) theta^beta / beta.  Then theta * TS has Laplace
+transform exp(-Lam ((1+s)^beta - 1)): it is a positive stable variate S with
+E e^(-sS) = exp(-Lam s^beta), tilted by e^(-S).  Three routes cover the whole
+domain:
+
+* beta = 0: the law is Gamma(c, rate theta).
+* Lam <= LAMBDA0: Kanter's representation of S (Kanter, Ann. Probab. 1975),
+  split into m = ceil(Lam) i.i.d. pieces of parameter Lam/m, each accepted
+  with probability e^(-piece) (acceptance at least e^(-1) per piece).
+* Lam > LAMBDA0: Devroye's double rejection ("Random variate generation for
+  exponentially and polynomially tilted stable distributions", ACM TOMACS
+  2009), computed in logs so that it holds from beta = 0.99 down to
+  beta = 1e-12, where Lam ~ 1/beta.
+
+Both routes draw the pair (U, X) behind Kanter's S = (A(U)/X)^((1-beta)/beta),
+X ~ Exp(1), with U uniform on (0, pi).  With zeta^2(u) = A(u)^(1-beta) /
+A(0)^(1-beta) (>= 1, rising in u), the tilted pair has the joint density
+
+    zeta^2(u) e^(-Lam (zeta^2(u) - 1)) e^(-L(u) g(t)) du dt,
+
+in t = X / mode(X | U = u), where L = Lam beta zeta^2, b = (1-beta)/beta and
+g(t) = b (t - 1) + t^(-b) - 1 >= 0.  Double rejection proposes u from a
+mixture that bounds the u-marginal, then t from a half-normal, flat and
+exponential envelope of e^(-L g), and accepts with one exponential variate.
+The variate is theta * TS = L t^(-b).
+"""
+
+from __future__ import annotations
+
+from math import ceil, exp, log, pi, sqrt
+
+import numpy as np
+from scipy.special import gamma as _gamma
+
+# Kanter's route takes Lam <= LAMBDA0, double rejection the rest.  Kanter
+# costs about Lam e proposals per draw, double rejection a bounded number.
+# Measured on a 2-core Xeon VM (medians of 7 x 8 calls of 5000 draws, beta in
+# {1e-6, 0.25, 0.5, 0.7, 0.95}), microseconds per draw, Kanter / double
+# rejection: Lam = 4: 1.4-1.5 / 1.5-2.3; Lam = 5: 1.7-2.1 / 1.3-2.3;
+# Lam = 6: 1.9-2.5 / 1.6-2.2.
+LAMBDA0 = 5.0
+
+_C1 = sqrt(pi / 2.0)
+
+
+def tempered_stable(rng: np.random.Generator, n: int, beta: float, c: float,
+                    theta: float) -> np.ndarray:
+    """n i.i.d. TS variates with Levy density c x^(-1-beta) e^(-theta x);
+    zeros when c = 0."""
+    if c == 0.0:
+        return np.zeros(n)
+    if beta == 0.0:
+        return rng.standard_gamma(c, n) / theta
+    lam = c * _gamma(1.0 - beta) * theta**beta / beta
+    if lam <= LAMBDA0:
+        return _kanter(rng, n, beta, lam, max(1, ceil(lam))) / theta
+    return _double_rejection(rng, n, beta, lam) / theta
+
+
+def _log_zeta2(u: np.ndarray, beta: float) -> np.ndarray:
+    """log zeta^2(u) = log(A(u)^(1-beta) / A(0)^(1-beta)) for Zolotarev's
+    A(u)^(1-beta) = sin(beta u)^beta sin((1-beta) u)^(1-beta) / sin(u),
+    written with log(sin(x)/x) so that it tends to 0 as u -> 0 (at u = 0
+    itself it is nan, which every caller rejects)."""
+    def lsinc(x):
+        return np.log(np.sin(x) / x)
+    return beta * lsinc(beta * u) + (1.0 - beta) * lsinc((1.0 - beta) * u) - lsinc(u)
+
+
+def _kanter(rng: np.random.Generator, n: int, beta: float, lam: float,
+            m: int) -> np.ndarray:
+    """n draws of theta * TS, each the sum of m tilted pieces of parameter
+    lam/m.  A piece is (lam/m)^(1/beta) (A(U)/X)^((1-beta)/beta), accepted when
+    an Exp(1) variate exceeds it."""
+    need = n * m
+    # log piece = (log(lam/m) + log A(U)^(1-beta) - (1-beta) log X) / beta, and
+    # log A(U)^(1-beta) = log zeta^2(U) + log(beta^beta (1-beta)^(1-beta)).
+    shift = log(lam / m) + beta * log(beta) + (1.0 - beta) * log(1.0 - beta)
+    kept, got = [], 0
+    while got < need:
+        k = int((need - got) * exp(lam / m) * 1.05) + 16
+        u = pi * rng.random(k)
+        x = rng.standard_exponential(k)
+        with np.errstate(over="ignore"):
+            piece = np.exp((shift + _log_zeta2(u, beta) - (1.0 - beta) * np.log(x)) / beta)
+        piece = piece[rng.standard_exponential(k) > piece]
+        kept.append(piece)
+        got += piece.size
+    return np.concatenate(kept)[:need].reshape(n, m).sum(axis=1)
+
+
+class _Envelope:
+    """Devroye's bound on the u-marginal of the tilted pair, for one
+    (beta, lam).  With gamma = lam beta (1-beta), it is pi d(u), where
+
+        d(u) = xi e^(-gamma u^2/2) [gamma >= 1] + xi [gamma < 1]
+               + psi / sqrt(pi - u),
+
+    xi = (1 + sqrt(2) c3)/pi, psi = c3 e^(-gamma pi^2/8)/sqrt(pi) and
+    c3 = (2 + sqrt(pi/2)) sqrt(gamma)."""
+
+    def __init__(self, beta: float, lam: float):
+        self.beta, self.lam = beta, lam
+        self.b = (1.0 - beta) / beta
+        self.gamma = lam * beta * (1.0 - beta)
+        self.sg = sqrt(self.gamma)
+        c3 = (2.0 + _C1) * self.sg
+        self.log_xi = log((1.0 + sqrt(2.0) * c3) / pi)
+        self.log_psi = log(c3) - self.gamma * pi * pi / 8.0 - 0.5 * log(pi)
+        self.normal = self.gamma >= 1.0
+        # mixture weights: int of the xi term, int_0^pi psi/sqrt(pi-u) du
+        log_main = self.log_xi + (log(_C1 / self.sg) if self.normal else log(pi))
+        log_tail = log(2.0 * sqrt(pi)) + self.log_psi
+        self.p_main = 1.0 / (1.0 + exp(min(log_tail - log_main, 700.0)))
+
+    def propose(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """k draws of u from the density proportional to d (may fall outside
+        (0, pi) on the half-normal branch)."""
+        main = rng.random(k) < self.p_main
+        w = rng.random(k)
+        body = (np.abs(rng.standard_normal(k)) / self.sg if self.normal else pi * w)
+        return np.where(main, body, pi * (1.0 - w * w))
+
+    def stage(self, u: np.ndarray) -> tuple:
+        """(log zeta^2, sigma, tail, log rho) at u in (0, pi).  sigma is the
+        half-normal scale of the t-envelope in units of the mode, ``tail`` is
+        g'(1 + sigma)/b, and rho = pi d(u) / B(u) >= 1 is the envelope ratio,
+        where B(u) = ((1 + sqrt(pi/2)) sqrt(gamma) zeta + 1/tail)
+        e^(-lam (zeta^2 - 1)) bounds the u-marginal."""
+        beta = self.beta
+        lz2 = _log_zeta2(u, beta)
+        zeta = np.exp(0.5 * lz2)
+        sigma = beta / (self.sg * zeta)
+        tail = -np.expm1(-np.log1p(sigma) / beta)
+        log_b = np.log((1.0 + _C1) * self.sg * zeta + 1.0 / tail) - self.lam * np.expm1(lz2)
+        far = self.log_psi - 0.5 * np.log(pi - u)
+        near = self.log_xi - 0.5 * self.gamma * u * u if self.normal else self.log_xi
+        return lz2, sigma, tail, log(pi) + np.logaddexp(near, far) - log_b
+
+
+def _double_rejection(rng: np.random.Generator, n: int, beta: float,
+                      lam: float) -> np.ndarray:
+    """n draws of theta * TS by Devroye's double rejection."""
+    env = _Envelope(beta, lam)
+    b = env.b
+    kept, got, rate = [], 0, 0.2
+    while got < n:
+        k = int((n - got) / rate * 1.1) + 64
+        u = env.propose(rng, k)
+        u = u[(u > 0.0) & (u < pi)]
+        lz2, sigma, tail, log_rho = env.stage(u)
+        e = rng.standard_exponential(u.size) - log_rho  # >= 0: u accepted
+        big_l = lam * beta * np.exp(lz2)
+        r = big_l * b * tail  # rate of the exponential piece of the t-envelope
+        width = sigma * (1.0 + _C1) + 1.0 / r
+        v = rng.random(u.size) * width
+        nrm = rng.standard_normal(u.size)
+        ex = rng.standard_exponential(u.size)
+        left = v < sigma * _C1
+        right = v >= sigma * (1.0 + _C1)
+        flat = (v - sigma * _C1) / sigma  # uniform on [0, 1) on the flat piece
+        d = np.where(left, -sigma * np.abs(nrm), np.where(right, sigma + ex / r, sigma * flat))
+        log_env = np.where(left, -0.5 * nrm * nrm, np.where(right, -ex, 0.0))
+        ok = (e >= 0.0) & (d > -1.0)
+        lp = np.log1p(np.where(ok, d, 0.0))  # log t
+        with np.errstate(over="ignore"):
+            g = b * d + np.expm1(-b * lp)
+        ok &= big_l * g + log_env <= e
+        out = np.exp(np.log(big_l[ok]) - b * lp[ok])
+        kept.append(out)
+        got += out.size
+        rate = max(out.size / k, 0.01)
+    return np.concatenate(kept)[:n]

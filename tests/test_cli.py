@@ -216,6 +216,16 @@ def test_simulate_outputs_and_determinism(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "paths.csv").read_bytes() == first  # byte-identical rerun
 
 
+def test_simulate_crypto_gts_slow_reversion(tmp_path, monkeypatch, capsys):
+    # this increment's CF decays so slowly that a grid would need more than
+    # 2^22 points (NormalizationError); the exact draws need none
+    code, out, err = run_cli(["simulate", "--params", "crypto", "--mode", "gts",
+                              "--ou-lambda", "0.1", "--dt", "1"],
+                             tmp_path, monkeypatch, capsys)
+    assert code == 0, err
+    assert "paths ->" in out
+
+
 def test_simulate_rejects_zero_paths(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(
         ["simulate", "--params", "equity", "--n-paths", "0", "--n-steps", "100"],
@@ -284,12 +294,25 @@ def test_out_dir_absolute_path_wins(tmp_path, monkeypatch, capsys):
     assert target.exists()
 
 
-def test_module_entry_point():
-    # the child imports the same gtsou as this process, installed or not
+def _run_child(*args):
+    """A python child that imports the same gtsou as this process, installed
+    or not."""
     src = os.path.dirname(os.path.dirname(gtsou.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "gtsou", "moments",
-                           "--params", "equity"], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = _run_child("-m", "gtsou", "moments", "--params", "equity")
     assert proc.returncode == 0
     assert "gts:" in proc.stdout
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal (and the scipy.stats it pulls in) load only when a path is
+    # simulated
+    proc = _run_child("-c", "import sys, gtsou; "
+                            "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from gtsou import (
     score_and_hessian,
     trace_rows,
 )
+from gtsou import estimation
 from gtsou.estimation import TRACE_COLUMNS
 from gtsou.inversion import GridSpec, InversionPlan, NormalizationError
 
@@ -314,8 +315,6 @@ def test_fit_scores_only_rising_points(compact_fit, monkeypatch):
     # a proposal whose likelihood does not rise fails the ratio test, so the
     # fit never asks for its score: on this sample every scored point is
     # recorded, and the rejected proposals cost one likelihood each
-    import gtsou.estimation as estimation
-
     data, g, _ = compact_fit
     calls = {"score": 0, "likelihood": 0}
 
@@ -325,10 +324,10 @@ def test_fit_scores_only_rising_points(compact_fit, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(estimation, "score_and_hessian",
-                        counted("score", estimation.score_and_hessian))
-    monkeypatch.setattr(estimation, "log_likelihood",
-                        counted("likelihood", estimation.log_likelihood))
+    monkeypatch.setattr(estimation, "_score_and_hessian",
+                        counted("score", estimation._score_and_hessian))
+    monkeypatch.setattr(estimation, "_log_likelihood",
+                        counted("likelihood", estimation._log_likelihood))
     trace = fit(data, moment_matched_init(data), grad_tol=1e-2, max_iter=120, g=g)
     assert calls["score"] == len(trace.states)
     assert calls["likelihood"] > len(trace.states)
@@ -341,6 +340,19 @@ def test_fit_restart_at_optimum_stops_immediately(compact_fit):
     assert again.converged
     assert len(again.states) - 1 <= 2
     assert again.final.log_likelihood >= trace.final.log_likelihood - 1e-9
+
+
+def test_fit_inverts_each_point_once(compact_fit, monkeypatch):
+    # the likelihood and the score/Hessian of a point share one inversion
+    data, g, trace = compact_fit
+    seen = []
+    real = estimation._density_at_data
+    monkeypatch.setattr(estimation, "_density_at_data",
+                        lambda d, p, grid: seen.append(p) or real(d, p, grid))
+    again = fit(data, moment_matched_init(data), grad_tol=1e-2, max_iter=120, g=g)
+    assert [s.params for s in again.states] == [s.params for s in trace.states]
+    assert all(a != b for a, b in zip(seen, seen[1:]))
+    assert len(seen) >= len(trace.states)
 
 
 def test_fit_iteration_budget(compact_fit):
@@ -400,23 +412,21 @@ def test_fit_on_the_beta_ridge_stops_with_a_reason():
 
 
 def test_fit_rejects_infeasible_proposals(compact_fit, monkeypatch):
-    # a likelihood that fails above a beta_plus cut: those proposals are
+    # a density that fails above a beta_plus cut: those proposals are
     # rejected, never recorded, and the fit still converges below the cut
-    import gtsou.estimation as estimation
-
     data, g, _ = compact_fit
     init = moment_matched_init(data)
     cut = init.beta_plus + 0.01
-    original = estimation.log_likelihood
+    original = estimation._density_at_data
     refused = []
 
-    def cut_likelihood(data, p, g):
+    def cut_density(data, p, g):
         if p.beta_plus > cut:
             refused.append(p.beta_plus)
             raise NormalizationError(f"beta_plus={p.beta_plus:g} above the cut")
         return original(data, p, g)
 
-    monkeypatch.setattr(estimation, "log_likelihood", cut_likelihood)
+    monkeypatch.setattr(estimation, "_density_at_data", cut_density)
     trace = fit(data, init, grad_tol=1e-2, max_iter=120, g=g)
     assert refused
     assert trace.converged

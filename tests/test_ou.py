@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from gtsou import ou
 from gtsou import (
     EQUITY_PARAMS,
+    PRESETS,
     IncrementSampler,
     Marginal,
     OuConfig,
     build_increment_sampler,
     burn_in_length,
+    default_grid,
     empirical_moments,
     ensemble_moments,
     increment_cumulants,
+    increment_exponent,
+    invert_cf,
     path_moments,
     sample_marginal,
     simulate_ensemble,
@@ -51,10 +56,72 @@ def test_config_validation():
             OuConfig(lambda_rate=0.3, dt=1.0, x0=x0)
 
 
-def test_increment_grid_mass(sampler):
-    assert sampler.grid.raw_mass == pytest.approx(1.0, abs=1e-4)
-    assert sampler.marginal is not None
-    assert sampler.marginal.raw_mass == pytest.approx(1.0, abs=1e-4)
+def test_sampler_inverts_only_the_marginal(monkeypatch):
+    # the increment is drawn exactly: no increment exponent, no increment
+    # grid; a stationary start inverts the marginal once
+    calls = []
+    for name in ("invert_cf", "increment_exponent"):
+        real = getattr(ou, name)
+        monkeypatch.setattr(ou, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    fixed = OuConfig(lambda_rate=0.3, dt=1.0, mode=Marginal.SD, n_steps=200, x0=0.0)
+    s = build_increment_sampler(EQUITY_PARAMS, fixed)
+    s.draw(np.random.default_rng(1), 10)
+    assert calls == [] and s.marginal is None
+    s = build_increment_sampler(EQUITY_PARAMS, CFG)
+    s.draw(np.random.default_rng(1), 10)
+    assert calls == ["invert_cf"]
+    assert s.marginal.raw_mass == pytest.approx(1.0, abs=1e-4)
+
+
+def _increment_z_scores(p, c, seed, n=100_000):
+    """z of the sample mean and variance of n increments against the exact
+    kappa_1, kappa_2; the variance's standard error comes from kappa_4."""
+    y = build_increment_sampler(p, c).draw(np.random.default_rng(seed), n)
+    k = increment_cumulants(p, c, 4)
+    zm = (y.mean() - k[1]) / np.sqrt(k[2] / n)
+    zv = (y.var() - k[2]) / np.sqrt((k[4] + 2.0 * k[2] ** 2) / n)
+    return zm, zv
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("betas", ["preset", 0.0, 1e-6])
+@pytest.mark.parametrize("mode", [Marginal.GTS, Marginal.SD])
+@pytest.mark.parametrize("lam", [0.1, 1.0])
+def test_increment_draws_match_cumulants(preset, betas, mode, lam):
+    # sample mean and variance of 1e5 increments within 4 standard errors
+    p = PRESETS[preset]
+    if betas != "preset":
+        p = p.replace(beta_plus=betas, beta_minus=betas)
+    c = OuConfig(lambda_rate=lam, dt=1.0, mode=mode, x0=0.0)
+    zm, zv = _increment_z_scores(p, c, 31)
+    assert abs(zm) <= 4.0 and abs(zv) <= 4.0, (zm, zv)
+
+
+@pytest.mark.parametrize("mode", [Marginal.GTS, Marginal.SD])
+def test_long_step_draws_match_cumulants(mode):
+    # lambda dt = 6 is drawn as six damped sub-steps of 1
+    c = OuConfig(lambda_rate=3.0, dt=2.0, mode=mode, x0=0.0)
+    zm, zv = _increment_z_scores(EQUITY_PARAMS, c, 37)
+    assert abs(zm) <= 4.0 and abs(zv) <= 4.0, (zm, zv)
+
+
+@pytest.mark.parametrize("preset, mode, lam", [
+    ("equity", Marginal.GTS, 0.1), ("equity", Marginal.GTS, 1.0),
+    ("equity", Marginal.SD, 0.1), ("equity", Marginal.SD, 1.0),
+    ("crypto", Marginal.GTS, 1.0), ("crypto", Marginal.SD, 1.0),
+])
+def test_increment_draws_match_inverted_law(preset, mode, lam):
+    # KS at 1% against the increment CF inverted on a grid sized from the
+    # increment's own mean and sd, wherever that inversion is feasible
+    p = PRESETS[preset]
+    c = OuConfig(lambda_rate=lam, dt=1.0, mode=mode, x0=0.0)
+    exponent = lambda xi: increment_exponent(xi, p, c)
+    k = increment_cumulants(p, c, 2)
+    reference = invert_cf(exponent, default_grid(exponent, k[1], float(np.sqrt(k[2])),
+                                                 n_points=8192, span=20.0))
+    y = build_increment_sampler(p, c).draw(np.random.default_rng(47), 20_000)
+    assert kstest(y, reference.cdf_at).pvalue > 0.01
 
 
 def test_increment_draw_moments(sampler):
@@ -93,7 +160,6 @@ def test_zero_increments_decay_geometrically(sampler):
             self._base = base
             self.params = base.params
             self.config = base.config
-            self.grid = base.grid
             self.marginal = base.marginal
 
         def draw(self, rng, size):

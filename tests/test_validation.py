@@ -127,11 +127,15 @@ def test_simulation_check_detects_scaled_paths():
 
 
 def test_simulation_check_detects_shifted_paths():
-    _, r7b = validation.check_simulation_convergence(
-        path_fn=_transformed_paths(lambda x: x + 0.01))
-    assert r7b.check_id == "C7b"
-    assert not r7b.passed
-    assert _failed_clauses(r7b)[0].startswith("mean")
+    # C7b's standard error is 2.28e-3, so a shift of +-0.02 moves z by 8.8:
+    # the shifted average fails |z| <= 4 wherever the unshifted one lies
+    # inside it, whatever the draws
+    for shift in (0.02, -0.02):
+        _, r7b = validation.check_simulation_convergence(
+            path_fn=_transformed_paths(lambda x: x + shift))
+        assert r7b.check_id == "C7b"
+        assert not r7b.passed
+        assert _failed_clauses(r7b)[0].startswith("mean")
 
 
 def test_crashed_check_reports_instead_of_aborting(monkeypatch):
