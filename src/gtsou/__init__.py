@@ -2,7 +2,7 @@
 
 Closed-form cumulants and characteristic exponents for the GTS law, the
 background driving Levy process of its OU representation, and the
-self-decomposable stationary law driven by a GTS process; FRFT-based density
+self-decomposable stationary law driven by a GTS process; FFT-based density
 inversion; Newton maximum likelihood with the analytic score and Hessian;
 exact simulation of the two stationary OU-type processes; and a validation
 suite pinning the numerics to closed-form moments.

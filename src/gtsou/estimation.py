@@ -1,10 +1,11 @@
 """Maximum-likelihood fitting of the seven GTS parameters by trust-region
-Newton (scipy's ``trust-exact``) over an FRFT-evaluated likelihood, with the
+Newton (scipy's ``trust-exact``) over an FFT-evaluated likelihood, with the
 score and Hessian inverted from differentiated characteristic functions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -52,6 +53,8 @@ class FitTrace:
     states: tuple
     converged: bool
     reason: str  # GradientTol | MaxIter | NoProgress | SingularHessian
+    # proposals turned into +inf, by the name of the exception that refused them
+    infeasible: dict = field(default_factory=dict)
 
     @property
     def final(self) -> FitState:
@@ -115,7 +118,7 @@ def log_likelihood(data, p: GtsParams, g: GridSpec | InversionPlan) -> float:
 
     ``g`` is a GridSpec, or an InversionPlan built from one: ``fit`` plans
     its grid once and passes the plan to every evaluation, which then costs
-    one exponent evaluation and two FFTs.  The pdf is interpolated at each
+    one exponent evaluation and one real FFT.  The pdf is interpolated at each
     observation by the four-point cubic Lagrange stencil and floored at
     1e-300 before the log.  If the data exceed the grid's x-range the range
     is expanded for this evaluation.
@@ -145,7 +148,7 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
     spectra enter only through sum_i S_i d2q / (m f_i) and d2m / m, two fixed
     linear functionals of the unclipped row, so ``InversionPlan.adjoint``
     turns each functional into one half spectrum and every Hessian entry into
-    two dot products: 10 FRFTs per call in all.  Observations whose density
+    two dot products: 10 real FFTs per call in all.  Observations whose density
     sits on the 1e-300 floor contribute nothing.
     """
     return _score_and_hessian(_density_at_data(data, p, g), p)
@@ -272,7 +275,8 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     whenever l rises inward, so the fit can leave the boundary.  Gradient and
     Hessian follow from ``score_and_hessian`` by the chain rule, g_z = D g
     and H_z = D H D + diag(D2 g).  An infeasible proposal gets +inf and fails
-    the ratio test; a proposal whose likelihood does not rise fails it too,
+    the ratio test, and ``FitTrace.infeasible`` counts it by exception type;
+    a proposal whose likelihood does not rise fails the ratio test too,
     so its score and Hessian are never computed.  The score and Hessian then
     come once per recorded state, plus once per rising proposal that the
     ratio test still rejects, and reuse the density inverted for the
@@ -288,6 +292,7 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     data = _check_data(data)
     plan = _plan_for(data, fit_grid(data, init) if g is None else g)
     states: list[FitState] = []
+    infeasible: Counter = Counter()
     last: dict = {}  # the point evaluated last: scipy asks for f, g, H apart
 
     def evaluate(z: np.ndarray, p: GtsParams | None = None) -> dict:
@@ -311,9 +316,10 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
                 last["model"] = (-l, *zeros)
                 return last
             grad, hess = _score_and_hessian(density, p)
-        except (NormalizationError, ValueError, ArithmeticError):
+        except (NormalizationError, ValueError, ArithmeticError) as exc:
             if not states:  # the start's errors propagate
                 raise
+            infeasible[type(exc).__name__] += 1
             last["model"] = (np.inf, *zeros)
             return last
         last["natural"] = p, l, grad, hess
@@ -351,7 +357,7 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
                        callback=callback, options={"gtol": 0.0})  # callback stops
         if reason is None:
             reason = {1: "MaxIter", 3: "SingularHessian"}.get(res.status, "NoProgress")
-    return FitTrace(tuple(states), reason == "GradientTol", reason)
+    return FitTrace(tuple(states), reason == "GradientTol", reason, dict(infeasible))
 
 
 def trace_rows(trace: FitTrace) -> list[list]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .frft import FrftPlan
+from .frft import phase_mod2
 
 
 class NormalizationError(ArithmeticError):
@@ -18,8 +18,8 @@ class NormalizationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Inversion grid: n_points uniform x nodes on [x_min, x_max], and a
-    symmetric frequency grid on [-xi_max, xi_max]."""
+    """Inversion grid: n_points uniform x nodes on [x_min, x_max], and the
+    frequency cutoff xi_max of the characteristic function."""
 
     n_points: int = 16384
     x_min: float = -20.0
@@ -37,34 +37,6 @@ class GridSpec:
 
     def with_range(self, x_min: float, x_max: float) -> "GridSpec":
         return GridSpec(self.n_points, float(x_min), float(x_max), self.xi_max)
-
-
-def _gregory_correction() -> np.ndarray:
-    """Seven end-correction weights added to the composite trapezoid rule.
-
-    Solved from the moment conditions sum_j d_j j^m = B_{m+1}/(m+1) (odd m,
-    Bernoulli numbers; zero for even m), which cancel the Euler-Maclaurin
-    boundary error terms through h^6, giving an O(h^8) rule for smooth
-    integrands.
-    """
-    j = np.arange(7, dtype=float)
-    a = np.vstack([j**m for m in range(7)])
-    b = np.array([0.0, 1.0 / 12.0, 0.0, -1.0 / 120.0, 0.0, 1.0 / 252.0, 0.0])
-    return np.linalg.solve(a, b)
-
-
-_GREGORY = _gregory_correction()
-
-
-def end_corrected_weights(n: int) -> np.ndarray:
-    """Trapezoid weights with 7-point end corrections (interior weight 1)."""
-    if n < 14:
-        raise ValueError("need at least 14 nodes for non-overlapping end corrections")
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    w[:7] += _GREGORY
-    w[-7:] += _GREGORY[::-1]
-    return w
 
 
 @dataclass(frozen=True)
@@ -130,63 +102,81 @@ def quantile(d: DensityGrid, u):
     return float(out) if u_arr.ndim == 0 else out
 
 
+def _spacings(g: GridSpec) -> tuple:
+    """(dx, dxi, K) of the grid: the x spacing, the frequency spacing
+    2 pi / (N dx) of a length-N = 2n DFT, whose period is twice the x-window,
+    and the top frequency index K = ceil(xi_max / dxi)."""
+    dx = (g.x_max - g.x_min) / (g.n_points - 1)
+    dxi = np.pi / (g.n_points * dx)
+    return dx, dxi, int(np.ceil(g.xi_max / dxi))
+
+
 def half_frequencies(g: GridSpec) -> np.ndarray:
-    """The nonnegative half of the grid's frequency nodes, where the
-    characteristic function is evaluated; xi[k] = -xi[n-1-k] mirrors it, and
-    n is even, so the origin is not a node."""
-    return np.linspace(-g.xi_max, g.xi_max, g.n_points)[g.n_points // 2:]
+    """The nonnegative frequency nodes xi_k = k dxi, k = 0..K, where the
+    characteristic function is evaluated; the top node is the first at or
+    beyond xi_max, and Hermitian symmetry supplies the negative half."""
+    _, dxi, top = _spacings(g)
+    return np.arange(top + 1) * dxi
 
 
 class InversionPlan:
     """Every array of the inversion that depends only on the grid.
 
-    Built once per GridSpec: the x nodes, the half frequency grid, the
-    end-corrected weights, the x_min shift phase, the xi_max post-phase and
-    the FRFT plan.  ``raw``, ``pdf`` and ``adjoint`` then cost one FRFT (two
-    FFTs) each, so a fit that evaluates many laws on one grid pays for the
-    grid once.
+    The density on the n x nodes is the trapezoid sum over the frequencies
+    k dxi, |k| <= K, (1/2pi) sum_k w_k cf(xi_k) e^(-i xi_k x) dxi, with
+    w = 1/2 at |k| = K (Carr & Madan 1999).  Since dxi dx = 2 pi / N, the sum
+    is one real inverse FFT of length N = 2n after the x_min shift phase
+    e^(-i k dxi x_min).  Node k adds to bin k mod N of the stored half
+    spectrum, or conjugated to bin N - (k mod N) where k mod N > N/2; the fold
+    is exact, since the DFT sees only k mod N.  Built once per GridSpec, so
+    ``raw``, ``pdf`` and ``adjoint`` cost one real FFT each.
     """
 
     def __init__(self, g: GridSpec):
         n = g.n_points
-        xi = np.linspace(-g.xi_max, g.xi_max, n)
-        x = np.linspace(g.x_min, g.x_max, n)
-        dxi = xi[1] - xi[0]
-        dx = x[1] - x[0]
+        dx, dxi, top = _spacings(g)
+        k = np.arange(top + 1)
+        m = k % (2 * n)
         self.grid = g
-        self.x = x
+        self.x = np.linspace(g.x_min, g.x_max, n)
         self.dx = dx
-        self.xi_half = xi[n // 2:]
-        self.weights = end_corrected_weights(n)
-        self.shift = np.exp(-1j * g.x_min * np.arange(n) * dxi)
-        self.post = np.exp(1j * g.xi_max * x)
-        self.scale = dxi / (2.0 * np.pi)
-        self.frft = FrftPlan(n, dx * dxi / (2.0 * np.pi))
-        for arr in (self.x, self.xi_half, self.weights, self.shift, self.post):
+        self.xi_half = k * dxi
+        # the half-spectrum bin of each node under the forward DFT
+        # e^(-2 pi i k j / N), and the sign of its imaginary part there: -1
+        # where node k lands conjugated on bin N - (k mod N)
+        self.bins = np.where(m > n, 2 * n - m, m)
+        self.sign = np.where(m > n, -1.0, 1.0)
+        # trapezoid weight times the x_min shift phase; raw scales the spectrum
+        # by to_x before the fold, adjoint scales its read-back by to_xi
+        w = np.where(k == top, 0.5, 1.0) \
+            * np.exp(-1j * np.pi * phase_mod2(g.x_min / (n * dx), k))
+        # irfft counts bins 0 and n once and every other bin twice, so a node
+        # k > 0 folded onto 0 or n carries its mirror -k there itself
+        self.to_x = np.where((k > 0) & (self.bins % n == 0), 2.0, 1.0) * w / dx
+        self.to_xi = np.where(k > 0, 2.0, 1.0) * w / (2 * n * dx)
+        for arr in (self.x, self.xi_half, self.bins, self.sign, self.to_x, self.to_xi):
             arr.setflags(write=False)
 
     def raw(self, cf_half) -> np.ndarray:
-        """The unclipped trapezoid inversion on ``x`` of a spectrum given on
-        ``xi_half`` and mirrored Hermitian (mirror plus one FRFT).  Linear over
-        the reals, so a spectrum d/dtheta e^psi gives the theta-derivative of
-        the unclipped density."""
+        """The unclipped trapezoid inversion on ``x`` of a Hermitian spectrum
+        given on ``xi_half``: the fold and one irfft.  Linear over the reals,
+        so a spectrum d/dtheta e^psi gives the theta-derivative of the
+        unclipped density."""
         n = self.grid.n_points
-        half = n // 2
-        cf = np.empty(n, dtype=complex)
-        cf[half:] = cf_half
-        cf[:half] = np.conj(cf[half:][::-1])
-
-        seq = self.weights * cf * self.shift
-        return self.scale * np.real(self.post * self.frft(seq))
+        t = self.to_x * cf_half
+        spectrum = np.empty(n + 1, dtype=complex)
+        spectrum.real = np.bincount(self.bins, t.real, n + 1)
+        # irfft sums e^(+2 pi i k j / N), so it takes the conjugate spectrum
+        spectrum.imag = np.bincount(self.bins, -self.sign * t.imag, n + 1)
+        return np.fft.irfft(spectrum, 2 * n)[:n]
 
     def adjoint(self, c) -> np.ndarray:
         """The transpose of ``raw`` for a real weight vector ``c`` on ``x``: the
         half spectrum a with ``c @ raw(s) == Re(a @ s)`` for every spectrum s
-        on ``xi_half``.  One FRFT, because its kernel e^(-2 pi i a j k) is
-        symmetric in j and k; the mirrored half folds back conjugated."""
-        half = self.grid.n_points // 2
-        b = self.scale * self.weights * self.shift * self.frft(c * self.post)
-        return b[half:] + np.conj(b[:half][::-1])
+        on ``xi_half``.  One rfft of the zero-padded ``c``, read back at each
+        node's bin."""
+        r = np.fft.rfft(c, 2 * self.grid.n_points)
+        return self.to_xi * (r.real[self.bins] + 1j * self.sign * r.imag[self.bins])
 
     def pdf(self, cf_half) -> tuple:
         """(pdf on ``x``, raw mass) from the characteristic function on
@@ -195,7 +185,7 @@ class InversionPlan:
         from 1 by more than 1e-3 or is not finite."""
         g = self.grid
         pdf = self.raw(cf_half)
-        pdf = np.where(pdf < 0.0, 0.0, pdf)  # FRFT ringing is tiny by contract
+        pdf = np.where(pdf < 0.0, 0.0, pdf)  # trapezoid ringing is tiny by contract
         mass = float(np.trapezoid(pdf, self.x))
         if not abs(mass - 1.0) <= 1e-3:
             cause = (f"density mass {mass:.6f} deviates from 1 by more than 1e-3"
@@ -211,8 +201,8 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
     ``exponent`` maps an array of frequencies to the log characteristic
     function; it must satisfy exponent(0)=0 and Hermitian symmetry (only the
     nonnegative half is evaluated, the rest is mirrored).  The oscillatory
-    integral is evaluated as an end-corrected trapezoid sum collapsed onto
-    the x grid by one fractional FFT, through a one-shot InversionPlan.
+    integral is evaluated as a trapezoid sum collapsed onto the x grid by
+    one real inverse FFT, through a one-shot InversionPlan.
 
     Raises NormalizationError if the recovered mass deviates from 1 by more
     than 1e-3 or is not finite; tiny negative ringing lobes are clipped to
@@ -236,12 +226,9 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
 
 def cf_on_grid(d: DensityGrid, xi) -> np.ndarray:
     """Re-transform the grid density back to characteristic-function values
-    (end-corrected trapezoid in x).  Used to audit inversion round trips."""
+    (trapezoid in x).  Used to audit inversion round trips."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    w = end_corrected_weights(d.x.size)
-    dx = d.x[1] - d.x[0]
-    phase = np.exp(1j * np.outer(xi, d.x))
-    return phase @ (w * d.pdf) * dx
+    return np.trapezoid(np.exp(1j * np.outer(xi, d.x)) * d.pdf, d.x, axis=1)
 
 
 # default_xi_max's target log-modulus and the largest cutoff it accepts

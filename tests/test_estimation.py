@@ -147,9 +147,10 @@ def streamed_score_and_hessian(data, p, g):
 @pytest.mark.parametrize("sample, p, outlier", [
     ("equity_sample", EQUITY_PARAMS, None),
     ("crypto_sample", CRYPTO_PARAMS, None),
-    # far enough out that the grid density there is clipped ringing: the
-    # observation sits on the 1e-300 floor and drops out of both functionals
-    ("equity_sample", EQUITY_PARAMS, 60.0),
+    # far enough out that the grid density at all four stencil nodes is
+    # clipped ringing: the observation sits on the 1e-300 floor and drops out
+    # of both functionals
+    ("equity_sample", EQUITY_PARAMS, 53.0),
 ])
 def test_adjoint_hessian_matches_streamed_rows(sample, p, outlier, request):
     data, g = request.getfixturevalue(sample)
@@ -165,17 +166,17 @@ def test_adjoint_hessian_matches_streamed_rows(sample, p, outlier, request):
 
 
 def test_score_and_hessian_runs_ten_transforms(equity_sample, monkeypatch):
-    # the density, the 7 first-derivative rows and the 2 adjoints
-    from gtsou.frft import FrftPlan
-
+    # the density and the 7 first-derivative rows (irfft), and the 2 adjoints
+    # (rfft)
     data, g = equity_sample
     plan = InversionPlan(g)
     calls = []
-    original = FrftPlan.__call__
-    monkeypatch.setattr(FrftPlan, "__call__",
-                        lambda self, seq: calls.append(1) or original(self, seq))
+    for name in ("irfft", "rfft"):
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, f=original, name=name, **kw:
+                            calls.append(name) or f(*args, **kw))
     score_and_hessian(data, EQUITY_PARAMS, plan)
-    assert len(calls) == 10
+    assert calls.count("irfft") == 8 and calls.count("rfft") == 2
 
 
 def test_log_likelihood_plan_reuse_is_bit_identical():
@@ -429,6 +430,28 @@ def test_fit_rejects_infeasible_proposals(compact_fit, monkeypatch):
     monkeypatch.setattr(estimation, "_density_at_data", cut_density)
     trace = fit(data, init, grad_tol=1e-2, max_iter=120, g=g)
     assert refused
+    assert trace.infeasible == {"NormalizationError": len(refused)}
     assert trace.converged
     assert _monotone(trace)
     assert all(s.params.beta_plus <= cut for s in trace.states)
+
+
+def test_fit_counts_one_infeasible_proposal(compact_fit, monkeypatch):
+    # the first proposal after the start raises once; the fit records it
+    # under the exception's name and goes on to the same optimum
+    data, g, trace = compact_fit
+    original = estimation._density_at_data
+    calls = []
+
+    def fail_first_proposal(data, p, g):
+        calls.append(p)
+        if len(calls) == 2:
+            raise FloatingPointError("overflow in the first proposal")
+        return original(data, p, g)
+
+    monkeypatch.setattr(estimation, "_density_at_data", fail_first_proposal)
+    again = fit(data, moment_matched_init(data), grad_tol=1e-2, max_iter=120, g=g)
+    assert again.infeasible == {"FloatingPointError": 1}
+    assert trace.infeasible == {}
+    assert again.converged
+    assert again.final.log_likelihood == pytest.approx(trace.final.log_likelihood, abs=1e-6)

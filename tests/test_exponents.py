@@ -204,8 +204,9 @@ def test_increment_exponent_sd_matches_mpmath_at_top_frequency():
     k = increment_cumulants(CRYPTO_PARAMS, c, 2)
     inc = lambda x: increment_exponent(x, CRYPTO_PARAMS, c)
     g = default_grid(inc, k[1], float(np.sqrt(k[2])), n_points=8192, span=20.0)
-    xi = float(half_frequencies(g)[-1])
-    assert xi == pytest.approx(g.xi_max) and xi > 1e4
+    top = half_frequencies(g)[-2:]
+    xi = float(top[-1])
+    assert top[0] < g.xi_max <= xi and xi > 1e4
     v = [mp.mpf(t) for t in CRYPTO_PARAMS.as_vector()]
     with mp.workdps(40):
         ref = complex(mp.quad(lambda s: _mp_psi_gts(xi * mp.exp(-s), v),

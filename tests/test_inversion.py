@@ -3,6 +3,8 @@ quantile interpolation, and the density -> CF round trip."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtsou import (
     EQUITY_PARAMS,
@@ -18,8 +20,7 @@ from gtsou import (
     quantile,
 )
 from gtsou.frft import phase_mod2
-from gtsou.inversion import (InversionPlan, alias_free_points, end_corrected_weights,
-                             half_frequencies)
+from gtsou.inversion import InversionPlan, alias_free_points, half_frequencies
 
 
 def gaussian_exponent(mu=0.3, sigma=1.7):
@@ -30,34 +31,31 @@ def gaussian_pdf(x, mu=0.3, sigma=1.7):
     return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
 
 
-def per_call_pdf(exponent, g):
-    """Reference inversion that rebuilds every grid array, the chirp and the
-    kernel spectrum on each call, in the plan's arithmetic order."""
+def direct_raw(g, s):
+    """The trapezoid sum (dxi/2pi) sum_{|k| <= K} w_k s_k e^(-i k dxi x) on the
+    x nodes, term by term: w = 1/2 at |k| = K, dxi = pi/(n dx), K the first
+    index with K dxi >= xi_max, and s_(-k) = conj(s_k)."""
     n = g.n_points
-    xi = np.linspace(-g.xi_max, g.xi_max, n)
     x = np.linspace(g.x_min, g.x_max, n)
-    dxi = xi[1] - xi[0]
-    dx = x[1] - x[0]
-    half = n // 2
-    cf = np.empty(n, dtype=complex)
-    cf[half:] = np.exp(exponent(xi[half:]))
-    cf[:half] = np.conj(cf[half:][::-1])
-    seq = end_corrected_weights(n) * cf * np.exp(-1j * g.x_min * np.arange(n) * dxi)
+    dx = (g.x_max - g.x_min) / (n - 1)
+    dxi = np.pi / (n * dx)
+    k = np.arange(int(np.ceil(g.xi_max / dxi)) + 1)
+    assert k[-1] * dxi >= g.xi_max > (k[-1] - 1) * dxi
+    w = np.where(k == k[-1], 0.5, 1.0) * np.where(k > 0, 2.0, 1.0)
+    out = np.empty(n)
+    for rows in np.array_split(np.arange(n), max(1, n * k.size // 2**20)):
+        phase = np.exp(-1j * np.pi * (phase_mod2(g.x_min / (n * dx), k)
+                                      + phase_mod2(1.0 / n, np.outer(rows, k))))
+        out[rows] = dxi / (2.0 * np.pi) * np.real(phase @ (w * s))
+    return out
 
-    a = dx * dxi / (2.0 * np.pi)
-    k = np.arange(n)
-    chirp = np.exp(-1j * np.pi * phase_mod2(a, k * k))
-    m = 2 * n  # padded length: n is a power of two
-    y = np.zeros(m, dtype=complex)
-    y[:n] = seq * chirp
-    z = np.zeros(m, dtype=complex)
-    z[:n] = np.conj(chirp)
-    z[m - n + 1:] = np.conj(chirp[1:][::-1])
-    transform = chirp * np.fft.ifft(np.fft.fft(y) * np.fft.fft(z))[:n]
 
-    pdf = (dxi / (2.0 * np.pi)) * np.real(np.exp(1j * g.xi_max * x) * transform)
+def direct_pdf(exponent, g):
+    """``direct_raw`` of the characteristic function, clipped and renormalized
+    like ``InversionPlan.pdf``."""
+    pdf = direct_raw(g, np.exp(exponent(half_frequencies(g))))
     pdf = np.where(pdf < 0.0, 0.0, pdf)
-    mass = float(np.trapezoid(pdf, x))
+    mass = float(np.trapezoid(pdf, np.linspace(g.x_min, g.x_max, g.n_points)))
     return pdf / mass, mass
 
 
@@ -188,7 +186,8 @@ def test_default_grid_alias_floor():
 
 
 def test_plan_reuse_matches_fresh_calls():
-    # one plan applied to two exponents equals two per-call inversions exactly
+    # one plan applied to two exponents equals two one-shot inversions
+    # exactly, and the term-by-term trapezoid sum to rounding
     p = EQUITY_PARAMS
     k = cumulants(p, 2)
     equity = lambda xi: psi_gts(xi, p)
@@ -196,19 +195,18 @@ def test_plan_reuse_matches_fresh_calls():
     plan = InversionPlan(g)
     for exponent in (equity, gaussian_exponent(mu=0.01, sigma=0.9)):
         pdf, mass = plan.pdf(np.exp(exponent(plan.xi_half)))
-        ref_pdf, ref_mass = per_call_pdf(exponent, g)
-        assert np.array_equal(pdf, ref_pdf)
-        assert mass == ref_mass
         d = invert_cf(exponent, g)
-        assert np.array_equal(d.pdf, ref_pdf)
-        assert d.raw_mass == ref_mass
+        assert np.array_equal(d.pdf, pdf)
+        assert d.raw_mass == mass
+        ref_pdf, ref_mass = direct_pdf(exponent, g)
+        np.testing.assert_allclose(pdf, ref_pdf, rtol=0.0, atol=1e-12)
+        assert mass == pytest.approx(ref_mass, abs=1e-12)
 
 
 def test_plan_arrays_are_read_only():
     plan = InversionPlan(GridSpec(n_points=256))
     assert np.array_equal(plan.xi_half, half_frequencies(plan.grid))
-    for arr in (plan.x, plan.xi_half, plan.weights, plan.shift, plan.post,
-                plan.frft.chirp, plan.frft.kernel):
+    for arr in (plan.x, plan.xi_half, plan.bins, plan.sign, plan.to_x, plan.to_xi):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -221,9 +219,47 @@ def test_adjoint_is_the_transpose_of_raw(n):
     rng = np.random.default_rng(n)
     for _ in range(3):
         c = rng.standard_normal(n)
-        s = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+        s = rng.standard_normal(plan.xi_half.size) + 1j * rng.standard_normal(plan.xi_half.size)
         lhs = c @ plan.raw(s)
         assert np.real(plan.adjoint(c) @ s) == pytest.approx(lhs, rel=1e-12)
+
+
+@st.composite
+def grids_and_spectra(draw):
+    """A grid whose top frequency index K runs from 0.05 N to 2.5 N (N = 2n),
+    so that the fold mod N is absent, single or repeated, and a random half
+    spectrum and real weight vector on it."""
+    n = draw(st.sampled_from([256, 512]))
+    x_min = draw(st.floats(-30.0, 10.0))
+    width = draw(st.floats(0.5, 40.0))
+    wraps = draw(st.floats(0.05, 2.5))  # K / N
+    g = GridSpec(n, x_min, x_min + width, wraps * 2 * n * np.pi / width)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = half_frequencies(g).size
+    return g, rng.standard_normal(size) + 1j * rng.standard_normal(size), \
+        rng.standard_normal(n)
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(grids_and_spectra())
+def test_raw_matches_direct_trapezoid_sum(case):
+    g, s, _ = case
+    ref = direct_raw(g, s)
+    np.testing.assert_allclose(InversionPlan(g).raw(s), ref, rtol=0.0,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+@_PROPERTY
+@given(grids_and_spectra())
+def test_adjoint_transposes_raw_with_folding(case):
+    g, s, c = case
+    plan = InversionPlan(g)
+    raw, a = plan.raw(s), plan.adjoint(c)
+    scale = max(np.abs(c) @ np.abs(raw), np.abs(a) @ np.abs(s))
+    assert abs(c @ raw - np.real(a @ s)) <= 1e-13 * scale
 
 
 def test_alias_free_points_floor_and_cap():
@@ -233,14 +269,6 @@ def test_alias_free_points_floor_and_cap():
     assert np.pi * (n - 1) / 200.0 >= 75.0 > np.pi * (n // 2 - 1) / 200.0
     with pytest.raises(NormalizationError):
         alias_free_points(256, 1e7, 100.0)
-
-
-def test_end_corrected_weights():
-    w = end_corrected_weights(64)
-    # corrections preserve the total weight of the plain trapezoid rule
-    assert w.sum() == pytest.approx(63.0, abs=1e-12)
-    assert np.all(w[8:-8] == 1.0)
-    np.testing.assert_allclose(w, w[::-1], rtol=0.0, atol=1e-15)
 
 
 def test_grid_arrays_are_read_only():

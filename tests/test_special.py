@@ -5,6 +5,7 @@ Reference values were computed with 40-digit arbitrary-precision arithmetic
 (mpmath.gammainc) and frozen here.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -56,6 +57,28 @@ def test_downward_recurrence():
             lhs = upper_incomplete_gamma(s + 1.0, x)
             rhs = s * upper_incomplete_gamma(s, x) + x**s * np.exp(-x)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# orders from s -> 0-, where Gamma(s+1, x) - x^s e^(-x) divided by s loses
+# about 1/|s| ulps, to s -> -1, and the branch edges s = -1/2 and x = 1/2.
+# That division is off by 3.2e-5 at (s, x) = (-1e-6, 700), 1.9e-3 at
+# (-1e-9, 200), 2.4e-4 at (-1e-12, 1) and 29x the value, with the wrong sign,
+# at (-1e-12, 700)
+NEGATIVE_ORDERS = np.concatenate([-np.geomspace(1e-12, 0.99, 13),
+                                  [-1e-9, -1e-6, -0.5, -0.4999]])
+ARGUMENTS = np.concatenate([np.geomspace(1e-3, 700.0, 31),
+                            [0.4999, 0.5, 0.5001, 1.0, 200.0]])
+
+
+def test_upper_gamma_negative_orders_match_mpmath():
+    worst = 0.0
+    with mp.workdps(40):
+        for s in NEGATIVE_ORDERS:
+            got = upper_incomplete_gamma(float(s), ARGUMENTS)
+            for x, value in zip(ARGUMENTS, got):
+                ref = mp.gammainc(mp.mpf(float(s)), mp.mpf(float(x)))
+                worst = max(worst, float(abs((mp.mpf(float(value)) - ref) / ref)))
+    assert worst <= 1e-13
 
 
 def test_lower_plus_upper_is_complete_gamma():
