@@ -232,8 +232,8 @@ def fit_grid(data, init: GtsParams, n_points: int = 16384) -> GridSpec:
     x-range covers both the initial law's mean +- 15 sd and the data with
     margin; the frequency cutoff gets a 1.5x safety factor so the grid stays
     valid as the parameters move.  ``n_points`` is a floor: like
-    ``default_grid``, the count is doubled until the alias period covers 1.5x
-    the x-window."""
+    ``default_grid``, the count is doubled until the x grid's Nyquist
+    frequency covers 1.5x the cutoff (``alias_free_points``)."""
     data = np.asarray(data, dtype=float)
     k = cumulants(init, 2)
     sd = float(np.sqrt(k[2]))

@@ -19,6 +19,9 @@ from .params import PARAM_NAMES, GtsParams
 BETA_LOG_BRANCH = 1e-6
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Panels per block of sd_exponent: blocks bound the (panels, nodes)
+# temporaries of psi_gts on long arrays, and give bitwise the same sums.
+_SD_BLOCK = 2**14
 # Absolute error target of sd_exponent_unit_form's adaptive quadrature
 _UNIT_FORM_TOL = 1e-10
 
@@ -223,10 +226,13 @@ def sd_exponent(xi, p: GtsParams):
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    # (n_panels, 8) nodes; integrand psi(u)/u never evaluated at u = 0
-    u = mid[:, None] + half[:, None] * _GL8_NODES[None, :]
-    vals = psi_gts(u.ravel(), p).reshape(u.shape) / u
-    panel = (vals * _GL8_WEIGHTS[None, :]).sum(axis=1) * half
+    panel = np.empty(half.size, dtype=complex)
+    for start in range(0, half.size, _SD_BLOCK):
+        b = slice(start, start + _SD_BLOCK)
+        # (panels, 8) nodes; integrand psi(u)/u never evaluated at u = 0
+        u = mid[b, None] + half[b, None] * _GL8_NODES[None, :]
+        vals = psi_gts(u.ravel(), p).reshape(u.shape) / u
+        panel[b] = (vals * _GL8_WEIGHTS[None, :]).sum(axis=1) * half[b]
     gamma_edges = np.cumsum(panel)  # gamma at edges[1:]
     filled = gamma_edges[np.searchsorted(edges, mag[nonzero]) - 1]
     out[nonzero] = np.where(x[nonzero] < 0.0, np.conj(filled), filled)

@@ -1,4 +1,10 @@
-"""Fractional FFT: a DFT-like transform with arbitrary frequency spacing."""
+"""Fractional FFT: a DFT-like transform with arbitrary frequency spacing.
+
+The density inversion does not use it (``InversionPlan`` runs one real FFT);
+``frft`` stays public and is what check C9 tests, at n = 64 and 256 only.
+Its rounding error grows with n: against the direct sum on standard-normal
+sequences, max |frft - direct| / sqrt(n) is 4e-14 at n = 256 and 1e-11 at
+n = 131072."""
 
 from __future__ import annotations
 

@@ -30,6 +30,8 @@ class GridSpec:
         n = self.n_points
         if n < 256 or n & (n - 1):
             raise ValueError("n_points must be a power of two, at least 256")
+        if not np.isfinite([self.x_min, self.x_max, self.xi_max]).all():
+            raise ValueError("x_min, x_max and xi_max must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be < x_max")
         if not self.xi_max > 0.0:
@@ -265,11 +267,9 @@ def default_grid(exponent, mean: float, std: float, n_points: int = 16384,
     """Grid spanning mean +- span standard deviations, frequency cutoff at
     |cf| < 1e-12 unless ``xi_max`` is given.
 
-    ``n_points`` is a floor, not a pin: the trapezoid inversion periodizes
-    the density with period 2*pi/dxi (Poisson summation), so for slowly
-    decaying characteristic functions the point count is doubled until that
-    period exceeds 1.5x the x-window — otherwise alias copies fold into the
-    window and the mass check fails.
+    ``n_points`` is a floor, not a pin: for slowly decaying characteristic
+    functions ``alias_free_points`` doubles it until the x grid's Nyquist
+    frequency covers 1.5x the cutoff.
     """
     x_min = mean - span * std
     x_max = mean + span * std
@@ -280,15 +280,18 @@ def default_grid(exponent, mean: float, std: float, n_points: int = 16384,
 
 
 def alias_free_points(n_points: int, xi_max: float, width: float) -> int:
-    """``n_points`` doubled until the Poisson-summation period
-    pi*(n-1)/xi_max of the trapezoid inversion covers 1.5x the x-window
-    ``width``; NormalizationError beyond 2^22 points."""
-    n = n_points
+    """``n_points`` doubled until the Nyquist frequency pi/dx of the x grid,
+    dx = width/(n-1), reaches 1.5 xi_max.  The top frequency index
+    K = ceil(xi_max/dxi) is then at most about 2n/3, so no frequency node of
+    ``InversionPlan`` folds; the alias period 2 pi/dxi is twice the window at
+    every n.  ``GridSpec`` checks the arguments before the loop runs;
+    NormalizationError beyond 2^22 points."""
+    n = GridSpec(n_points, 0.0, width, xi_max).n_points
     while np.pi * (n - 1) / xi_max < 1.5 * width:
         if n >= 2**22:
             raise NormalizationError(
-                "alias-free inversion would need more than 2^22 grid points; "
-                "narrow the x-range or lower the frequency cutoff"
+                "a Nyquist frequency of 1.5x the cutoff would need more than "
+                "2^22 grid points; narrow the x-range or lower the frequency cutoff"
             )
         n *= 2
     return n

@@ -50,7 +50,7 @@ def tempered_stable(rng: np.random.Generator, n: int, beta: float, c: float,
                     theta: float) -> np.ndarray:
     """n i.i.d. TS variates with Levy density c x^(-1-beta) e^(-theta x);
     zeros when c = 0."""
-    if c == 0.0:
+    if c == 0.0 or n == 0:
         return np.zeros(n)
     if beta == 0.0:
         return rng.standard_gamma(c, n) / theta

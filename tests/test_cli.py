@@ -294,13 +294,32 @@ def test_out_dir_absolute_path_wins(tmp_path, monkeypatch, capsys):
     assert target.exists()
 
 
-def _run_child(*args):
+def _run_child(*args, timeout=None):
     """A python child that imports the same gtsou as this process, installed
     or not."""
     src = os.path.dirname(os.path.dirname(gtsou.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+
+
+@pytest.mark.parametrize("flag, value, cause", [
+    ("--grid-n", "0", "n_points must be a power of two"),
+    ("--grid-n", "-4", "n_points must be a power of two"),
+    ("--xi-max", "0", "xi_max must be > 0"),
+    ("--xi-max", "-1", "xi_max must be > 0"),
+    ("--xi-max", "inf", "must be finite"),
+])
+def test_density_rejects_bad_grid_inputs(flag, value, cause, tmp_path):
+    # a child process with a timeout, so that a sizing loop that never ends
+    # fails this test instead of hanging the suite
+    try:
+        proc = _run_child("-m", "gtsou", "density", "--params", "equity",
+                          "--out", str(tmp_path / "d.csv"), flag, value, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"gtsou density {flag} {value} did not finish in 60 s")
+    assert proc.returncode == 1
+    assert cause in proc.stderr, proc.stderr
 
 
 def test_module_entry_point():

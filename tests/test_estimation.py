@@ -209,8 +209,8 @@ def test_log_likelihood_plan_expands_range_for_outliers(equity_sample):
 
 
 def test_fit_grid_alias_floor(equity_sample):
-    # at 256 points the alias period pi (n-1)/xi_max (~4.2) is far below
-    # 1.5x the window (~49): fit_grid must double like default_grid
+    # at 256 points the x grid's Nyquist frequency pi (n-1)/width (~24) is
+    # far below 1.5x the cutoff (~287): fit_grid must double like default_grid
     data, _ = equity_sample
     g = fit_grid(data, EQUITY_PARAMS, n_points=256)
     assert g.n_points > 256
@@ -218,6 +218,14 @@ def test_fit_grid_alias_floor(equity_sample):
     assert np.pi * (g.n_points // 2 - 1) / g.xi_max < 1.5 * (g.x_max - g.x_min)
     # a grid that already clears the floor keeps its count
     assert fit_grid(data, EQUITY_PARAMS, n_points=8192).n_points == 8192
+
+
+def test_fit_grid_checks_the_floor_first(equity_sample):
+    # the floor obeys GridSpec's rule before any doubling
+    data, _ = equity_sample
+    for n in (-4, 128):
+        with pytest.raises(ValueError, match="n_points"):
+            fit_grid(data, EQUITY_PARAMS, n_points=n)
 
 
 def test_log_likelihood_permutation_invariant(equity_sample):

@@ -23,9 +23,9 @@ from gtsou import (
     sd_exponent,
     sd_exponent_unit_form,
 )
+from gtsou import exponents
 from gtsou.exponents import psi_gts_derivatives
 from gtsou.inversion import default_grid, half_frequencies
-from gtsou.ou import _GL8_NODES, _GL8_WEIGHTS, _SD_CHUNK
 
 XI = np.linspace(-10.0, 10.0, 41)
 XI_NONZERO = XI[XI != 0.0]
@@ -179,22 +179,13 @@ def test_increment_exponent_sd_difference():
                                atol=1e-9)
 
 
-def test_increment_exponent_sd_blocks_match_one_block():
-    # more frequencies than one block: each row equals the one-block formula
-    c = OuConfig(lambda_rate=2.0, dt=1.0, mode=Marginal.SD)  # four panels
-    xi = np.linspace(-40.0, 40.0, _SD_CHUNK + 1000)
-    edges = np.linspace(0.0, c.lambda_rate * c.dt, 5)
-
-    def one_block(x):
-        out = np.zeros(x.size, dtype=complex)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            s = 0.5 * (hi + lo) + half * _GL8_NODES
-            out += half * (psi_gts(np.outer(x, np.exp(-s)), CRYPTO_PARAMS) @ _GL8_WEIGHTS)
-        return out
-
-    assert np.array_equal(increment_exponent(xi, CRYPTO_PARAMS, c), one_block(xi))
-    assert increment_exponent(xi[7], CRYPTO_PARAMS, c) == one_block(xi[7:8])[0]
+def test_sd_exponent_blocks_match_one_block(monkeypatch):
+    # more panels than one block: every value equals the one-block result
+    xi = np.linspace(-40.0, 40.0, 2 * exponents._SD_BLOCK + 1000)
+    blocked = sd_exponent(xi, CRYPTO_PARAMS)
+    monkeypatch.setattr(exponents, "_SD_BLOCK", xi.size)
+    assert np.array_equal(blocked, sd_exponent(xi, CRYPTO_PARAMS))
+    assert sd_exponent(xi[7], CRYPTO_PARAMS) == sd_exponent(xi[7:8], CRYPTO_PARAMS)[0]
 
 
 def test_increment_exponent_sd_matches_mpmath_at_top_frequency():
@@ -213,6 +204,25 @@ def test_increment_exponent_sd_matches_mpmath_at_top_frequency():
                               [0, mp.mpf(c.lambda_rate * c.dt)]))
     got = inc(np.array([xi]))[0]
     assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["equity", "crypto"])
+@pytest.mark.parametrize("lam", [0.1, 1.0, 5.0])
+def test_increment_exponent_sd_difference_accuracy(p, lam):
+    # phi(xi) - phi(a xi) against a 40-digit quadrature of its integral form,
+    # at points of a 20001-point array out to the |cf| = 1e-12 cutoff, where
+    # sd_exponent's running sum covers the most panels: within the bound
+    # increment_exponent states, 1e-13 / min(lambda dt, 1) relative
+    c = OuConfig(lambda_rate=lam, dt=1.0, mode=Marginal.SD)
+    top = default_xi_max(lambda x: increment_exponent(x, p, c))
+    xi = np.linspace(-top, top, 20001)
+    got = increment_exponent(xi, p, c)
+    v = [mp.mpf(t) for t in p.as_vector()]
+    for i in (0, 2000, 5000, 9990, 10003, 11000, 13000, 16000, 19000, 20000):
+        with mp.workdps(40):
+            ref = complex(mp.quad(lambda s: _mp_psi_gts(xi[i] * mp.exp(-s), v),
+                                  [0, mp.mpf(lam)]))
+        assert abs(got[i] - ref) <= 1e-13 / min(lam, 1.0) * abs(ref), (xi[i], got[i], ref)
 
 
 def test_increment_plus_scaled_marginal_recomposes():

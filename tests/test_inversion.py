@@ -174,8 +174,8 @@ def test_default_xi_max_slow_decay_rejected():
 
 def test_default_grid_alias_floor():
     # slowly decaying CF (cutoff ~2.8e3) over a wide window: the point count
-    # must grow so the Poisson-summation period pi (n-1)/xi_max covers 1.5x
-    # the x-window
+    # must grow until the x grid's Nyquist frequency pi/dx = pi (n-1)/width
+    # covers 1.5x the cutoff
     slow = lambda xi: -0.01 * np.abs(np.asarray(xi, dtype=complex))
     g = default_grid(slow, mean=0.0, std=10.0, n_points=4096)
     assert g.n_points > 4096
@@ -269,6 +269,25 @@ def test_alias_free_points_floor_and_cap():
     assert np.pi * (n - 1) / 200.0 >= 75.0 > np.pi * (n // 2 - 1) / 200.0
     with pytest.raises(NormalizationError):
         alias_free_points(256, 1e7, 100.0)
+
+
+def test_grid_inputs_checked_before_sizing():
+    # GridSpec's rules reject a bad floor or cutoff before the doubling runs,
+    # and the error names the cause rather than the 2^22 cap
+    for n in (-4, 100, 128):
+        with pytest.raises(ValueError, match="n_points"):
+            alias_free_points(n, 10.0, 1.0)
+    for xi_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="xi_max must be > 0"):
+            alias_free_points(256, xi_max, 1.0)
+    for xi_max, width in ((np.inf, 1.0), (np.nan, 1.0), (10.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            alias_free_points(256, xi_max, width)
+    with pytest.raises(ValueError, match="xi_max must be > 0"):
+        default_grid(gaussian_exponent(), 0.0, 1.0, n_points=256, xi_max=-1.0)
+    for bad in ((-np.inf, 1.0, 10.0), (0.0, np.inf, 10.0), (0.0, 1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(256, *bad)
 
 
 def test_grid_arrays_are_read_only():

@@ -26,6 +26,7 @@ from gtsou import (
     simulate_path,
     stationary_moments,
 )
+from gtsou.tempered import tempered_stable
 
 CFG = OuConfig(lambda_rate=0.3, dt=1.0, mode=Marginal.SD, n_steps=200, seed=5)
 
@@ -104,6 +105,41 @@ def test_long_step_draws_match_cumulants(mode):
     c = OuConfig(lambda_rate=3.0, dt=2.0, mode=mode, x0=0.0)
     zm, zv = _increment_z_scores(EQUITY_PARAMS, c, 37)
     assert abs(zm) <= 4.0 and abs(zv) <= 4.0, (zm, zv)
+
+
+@pytest.mark.parametrize("mode", [Marginal.GTS, Marginal.SD])
+def test_very_long_step_draws_its_last_37(mode, monkeypatch):
+    # lambda dt = 1000: jumps older than 37 are damped below 2^-53, so at most
+    # 37 sub-steps run (two sides each), and the draws still match kappa_1,2
+    calls = []
+    real = ou._side_jumps
+
+    def counted(*args):
+        calls.append(args[5])
+        assert len(calls) <= 2 * 37, "more than 37 sub-steps"
+        return real(*args)
+
+    monkeypatch.setattr(ou, "_side_jumps", counted)
+    c = OuConfig(lambda_rate=1000.0, dt=1.0, mode=mode, x0=0.0)
+    zm, zv = _increment_z_scores(EQUITY_PARAMS, c, 41, n=20_000)
+    assert abs(zm) <= 4.0 and abs(zv) <= 4.0, (zm, zv)
+    assert len(calls) == 2 * 37 and calls[0] == pytest.approx(1.0)
+
+
+def test_zero_size_draws_are_empty():
+    # size 0 draws nothing and leaves the stream where it was
+    for mode in (Marginal.GTS, Marginal.SD):
+        s = build_increment_sampler(EQUITY_PARAMS, OuConfig(
+            lambda_rate=3.0, dt=1.0, mode=mode, x0=0.0))
+        rng = np.random.default_rng(8)
+        assert s.draw(rng, 0).shape == (0,)
+        np.testing.assert_array_equal(s.draw(rng, 5),
+                                      s.draw(np.random.default_rng(8), 5))
+    for beta, c in ((0.0, 2.0), (0.3, 0.1), (0.3, 2.0)):  # gamma, Kanter, DR
+        rng = np.random.default_rng(9)
+        assert tempered_stable(rng, 0, beta, c, 1.5).shape == (0,)
+        np.testing.assert_array_equal(tempered_stable(rng, 3, beta, c, 1.5),
+                                      tempered_stable(np.random.default_rng(9), 3, beta, c, 1.5))
 
 
 @pytest.mark.parametrize("preset, mode, lam", [
