@@ -22,7 +22,7 @@ from scipy.special import gamma as _gamma
 
 from .cumulants import Cumulants, Marginal, StationaryMoments, cumulants, stationary_moments
 from .exponents import psi_gts, sd_exponent
-from .inversion import DensityGrid, default_grid, invert_cf, quantile
+from .inversion import default_grid, invert_cf, quantile
 from .params import GtsParams
 from .tempered import tempered_stable
 
@@ -36,6 +36,9 @@ _MAX_SUBSTEP = 1.0
 # by e^-37 < 2^-53 and vanish against the rest, so a longer step draws only
 # its last 37 and costs at most 37 sub-steps.
 _MAX_SPAN = 37.0
+# Most steps a stationary start runs through, so lambda dt >= 37 / 2^20; at
+# the cap one path's start takes about 60 MB of working arrays.
+_MAX_START_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -121,22 +124,17 @@ def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.maximum(u, np.finfo(float).tiny)
 
 
-def _marginal_grid(p: GtsParams, mode: Marginal) -> DensityGrid:
-    """The stationary marginal (GTS or SD) inverted on a grid of 8192 points
-    spanning 20 standard deviations either side of its mean."""
-    exponent = marginal_exponent(p, mode)
-    sm = stationary_moments(p, mode)
-    g = default_grid(exponent, sm.mean, sm.std_dev, n_points=8192, span=20.0)
-    return invert_cf(exponent, g)
-
-
 def sample_marginal(p: GtsParams, mode: Marginal, n: int,
                     rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the stationary marginal (GTS or SD) by
-    inverse-transform sampling on its inverted density grid."""
+    inverse-transform sampling on its density, inverted on a grid of 8192
+    points spanning 20 standard deviations either side of its mean."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.asarray(quantile(_marginal_grid(p, mode), _open_uniform(rng, n)))
+    exponent = marginal_exponent(p, mode)
+    sm = stationary_moments(p, mode)
+    g = default_grid(exponent, sm.mean, sm.std_dev, n_points=8192, span=20.0)
+    return np.asarray(quantile(invert_cf(exponent, g), _open_uniform(rng, n)))
 
 
 def _exprel2(x: float) -> float:
@@ -200,9 +198,7 @@ def _mixing_times(rng: np.random.Generator, n: int, beta: float, total: float,
 
 @dataclass(frozen=True)
 class IncrementSampler:
-    """Immutable handle for exact increment draws (and, when paths start in
-    the stationary regime, the inverted marginal density, sampled by its
-    quantile).
+    """Immutable handle for exact increment draws.
 
     An increment is mu (1 - a) plus, for each side (sign, beta, alpha, lambda)
     of ``GtsParams.sides()``, sign times that side's TS + CP jump part
@@ -213,7 +209,6 @@ class IncrementSampler:
 
     params: GtsParams
     config: OuConfig
-    marginal: DensityGrid | None = None
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         c = self.config
@@ -229,17 +224,24 @@ class IncrementSampler:
                     jumps += sign * _side_jumps(rng, size, beta, alpha, lam, h, c.mode)
         return -self.params.mu * np.expm1(-total) + jumps
 
-    def draw_stationary(self, rng: np.random.Generator) -> float:
-        if self.marginal is None:
-            raise ValueError("sampler was built without a stationary-marginal grid")
-        return float(quantile(self.marginal, _open_uniform(rng, 1)[0]))
-
 
 def build_increment_sampler(p: GtsParams, c: OuConfig) -> IncrementSampler:
-    """The exact increment sampler of (p, c); it inverts only the stationary
-    marginal, and only when paths start from it."""
-    marginal = _marginal_grid(p, c.mode) if c.stationary_start else None
-    return IncrementSampler(p, c, marginal)
+    """The exact increment sampler of (p, c); it inverts no characteristic
+    function."""
+    return IncrementSampler(p, c)
+
+
+def _start_steps(c: OuConfig) -> int:
+    """Steps m = ceil(37 / lambda dt) that a stationary start runs from mu,
+    whose weight a^m <= e^-37 < 2^-53 then vanishes; at least 1, since
+    lambda dt = inf gives 37 / inf = 0."""
+    total = c.lambda_rate * c.dt
+    if not total * _MAX_START_STEPS >= _MAX_SPAN:
+        raise ValueError(
+            f"a stationary start at lambda dt = {total:g} needs more than "
+            f"{_MAX_START_STEPS} steps (lambda dt < 37 / 2^20); give a fixed "
+            "start x0 (--x0)")
+    return max(1, ceil(_MAX_SPAN / total))
 
 
 def simulate_path(p: GtsParams, c: OuConfig,
@@ -247,9 +249,11 @@ def simulate_path(p: GtsParams, c: OuConfig,
                   rng: np.random.Generator | None = None) -> SamplePath:
     """Run X_i = a X_{i-1} + y_i for n_steps exact draws.
 
-    The recursion is evaluated as a linear filter, so the whole path costs
-    O(n) after the draws.  With rng omitted, the stream is seeded from the
-    config; passing an explicit generator supports ensemble spawning.
+    A stationary start runs the chain from mu through ``_start_steps(c)``
+    more exact draws and keeps the last n_steps + 1 values.  The recursion
+    is evaluated as a linear filter, so the whole path costs O(n) after the
+    draws.  With rng omitted, the stream is seeded from the config; passing
+    an explicit generator supports ensemble spawning.
     """
     if sampler is None:
         sampler = build_increment_sampler(p, c)
@@ -260,15 +264,17 @@ def simulate_path(p: GtsParams, c: OuConfig,
     if rng is None:
         rng = np.random.default_rng(c.seed)
 
-    x0 = sampler.draw_stationary(rng) if c.stationary_start else float(c.x0)
-    y = sampler.draw(rng, c.n_steps)
+    m = _start_steps(c) if c.stationary_start else 0
+    x0 = p.mu if c.stationary_start else float(c.x0)
+    n = m + c.n_steps
+    y = sampler.draw(rng, n)
 
     a = c.a
     w = lfilter([1.0], [1.0, -a], y)  # w[i] = sum_{j<=i} a^(i-j) y[j]
-    x = np.empty(c.n_steps + 1)
+    x = np.empty(n + 1)
     x[0] = x0
-    x[1:] = a ** np.arange(1, c.n_steps + 1) * x0 + w
-    return SamplePath(x, c, c.stationary_start)
+    x[1:] = a ** np.arange(1, n + 1) * x0 + w
+    return SamplePath(x[m:].copy(), c, c.stationary_start)
 
 
 def simulate_ensemble(p: GtsParams, c: OuConfig, n_paths: int,

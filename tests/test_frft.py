@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gtsou import frft
-from gtsou.frft import FrftPlan, phase_mod2
+from gtsou.frft import phase_mod2
 
 
 def direct_sum(seq, a):
@@ -90,25 +90,13 @@ def test_invalid_input():
         frft(np.ones((3, 3)), 0.1)
 
 
-def test_plan_reuse_matches_fresh_calls():
-    # one plan applied to two sequences equals two per-call transforms exactly
+def test_matches_per_call_reference():
+    # bit for bit the reference Bluestein transform, at short and long n
     rng = np.random.default_rng(11)
     for n, a in ((1, 0.42), (100, 0.137), (16384, 2.3e-4)):
-        plan = FrftPlan(n, a)
         for _ in range(2):
             seq = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert np.array_equal(plan(seq), per_call_frft(seq, a))
             assert np.array_equal(frft(seq, a), per_call_frft(seq, a))
-
-
-def test_plan_rejects_wrong_length():
-    plan = FrftPlan(8, 0.1)
-    with pytest.raises(ValueError):
-        plan(np.ones(9))
-    with pytest.raises(ValueError):
-        plan(np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        FrftPlan(0, 0.1)
 
 
 def test_phase_mod2_against_exact_rationals():

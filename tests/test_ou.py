@@ -1,11 +1,14 @@
 """Exact OU-type simulation: increment sampling, the autoregressive
 recursion, seeding discipline, and moment reporting."""
 
+from dataclasses import fields
+from math import ceil
+
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
-from gtsou import ou
+from gtsou import inversion, ou
 from gtsou import (
     EQUITY_PARAMS,
     PRESETS,
@@ -57,22 +60,20 @@ def test_config_validation():
             OuConfig(lambda_rate=0.3, dt=1.0, x0=x0)
 
 
-def test_sampler_inverts_only_the_marginal(monkeypatch):
-    # the increment is drawn exactly: no increment exponent, no increment
-    # grid; a stationary start inverts the marginal once
+def test_sampler_and_paths_invert_nothing(monkeypatch):
+    # increments and stationary starts are drawn exactly: building a sampler
+    # and simulating a path evaluate no exponent and invert no grid
     calls = []
-    for name in ("invert_cf", "increment_exponent"):
-        real = getattr(ou, name)
-        monkeypatch.setattr(ou, name, lambda *a, real=real, name=name, **k:
+    for module, name in ((ou, "invert_cf"), (inversion, "invert_cf"),
+                         (inversion, "default_xi_max"), (ou, "increment_exponent")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k:
                             calls.append(name) or real(*a, **k))
     fixed = OuConfig(lambda_rate=0.3, dt=1.0, mode=Marginal.SD, n_steps=200, x0=0.0)
-    s = build_increment_sampler(EQUITY_PARAMS, fixed)
-    s.draw(np.random.default_rng(1), 10)
-    assert calls == [] and s.marginal is None
-    s = build_increment_sampler(EQUITY_PARAMS, CFG)
-    s.draw(np.random.default_rng(1), 10)
-    assert calls == ["invert_cf"]
-    assert s.marginal.raw_mass == pytest.approx(1.0, abs=1e-4)
+    for c in (fixed, CFG):
+        simulate_path(EQUITY_PARAMS, c, build_increment_sampler(EQUITY_PARAMS, c))
+    assert calls == []
+    assert [f.name for f in fields(IncrementSampler)] == ["params", "config"]
 
 
 def _increment_z_scores(p, c, seed, n=100_000):
@@ -177,16 +178,19 @@ def test_same_seed_same_draws(sampler):
 
 
 def test_path_recursion_unrolled(sampler):
-    # replay the draws: x_k = a x_{k-1} + y_k exactly (same stream)
+    # replay the draws: from mu the chain runs m = ceil(37 / lambda dt) steps
+    # of x_k = a x_{k-1} + y_k (same stream), and the path is the rest
     path = simulate_path(EQUITY_PARAMS, CFG, sampler)
-    rng = np.random.default_rng(CFG.seed)
-    x0 = sampler.draw_stationary(rng)
-    y = sampler.draw(rng, CFG.n_steps)
-    assert path.x[0] == x0
-    expect = x0
-    for k in range(CFG.n_steps):
+    m = ceil(37.0 / (CFG.lambda_rate * CFG.dt))
+    y = sampler.draw(np.random.default_rng(CFG.seed), m + CFG.n_steps)
+    expect = EQUITY_PARAMS.mu
+    for k in range(m + CFG.n_steps):
         expect = CFG.a * expect + y[k]
-        assert path.x[k + 1] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        if k + 1 >= m:
+            assert path.x[k + 1 - m] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    # a fresh array: the path does not keep the start's m steps alive
+    assert path.x.shape == (CFG.n_steps + 1,) and path.x.base is None
+    assert not path.x.flags.writeable
 
 
 def test_zero_increments_decay_geometrically(sampler):
@@ -196,13 +200,9 @@ def test_zero_increments_decay_geometrically(sampler):
             self._base = base
             self.params = base.params
             self.config = base.config
-            self.marginal = base.marginal
 
         def draw(self, rng, size):
             return np.zeros(size)
-
-        def draw_stationary(self, rng):
-            return 2.0
 
     cfg = OuConfig(lambda_rate=0.3, dt=1.0, mode=Marginal.SD, n_steps=50, seed=5,
                    x0=2.0)
@@ -234,15 +234,57 @@ def test_ensemble_reproducible_and_independent(sampler):
         simulate_ensemble(EQUITY_PARAMS, CFG, 0, sampler)
 
 
-def test_terminal_values_follow_stationary_law(sampler):
-    # exact simulation from a stationary start: the terminal value of every
-    # path is a draw from the marginal; KS against the grid CDF at 1%
+def test_terminal_values_follow_stationary_law():
+    # exact simulation from a stationary start: the first and the terminal
+    # value of every path are draws from the marginal; KS at 1% against the
+    # marginal CF inverted on a grid sized from its own mean and sd
     cfg = OuConfig(lambda_rate=0.3, dt=1.0, mode=Marginal.SD, n_steps=40, seed=17)
-    s = build_increment_sampler(EQUITY_PARAMS, cfg)
-    paths = simulate_ensemble(EQUITY_PARAMS, cfg, 600, s)
-    terminal = np.array([p.x[-1] for p in paths])
-    stat = kstest(terminal, s.marginal.cdf_at)
-    assert stat.pvalue > 0.01
+    exponent = ou.marginal_exponent(EQUITY_PARAMS, Marginal.SD)
+    sm = stationary_moments(EQUITY_PARAMS, Marginal.SD)
+    reference = invert_cf(exponent, default_grid(exponent, sm.mean, sm.std_dev,
+                                                 n_points=8192, span=20.0))
+    paths = simulate_ensemble(EQUITY_PARAMS, cfg, 600)
+    for values in ([p.x[0] for p in paths], [p.x[-1] for p in paths]):
+        assert kstest(values, reference.cdf_at).pvalue > 0.01
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("mode", [Marginal.GTS, Marginal.SD])
+def test_stationary_start_matches_long_step_law(preset, mode):
+    # at beta = 0 no grid inverts the gts marginal, but a step with
+    # lambda dt = 1000 is drawn from the stationary law itself: the starts of
+    # 1000 paths pass a two-sample KS at 1% against 2e4 such steps, and their
+    # mean lies within 4 standard errors of the exact one
+    p = PRESETS[preset].replace(beta_plus=0.0, beta_minus=0.0)
+    c = OuConfig(lambda_rate=1.0, dt=1.0, mode=mode, n_steps=1, seed=3)
+    starts = np.array([path.x[0] for path in simulate_ensemble(p, c, 1000)])
+    long_step = OuConfig(lambda_rate=1000.0, dt=1.0, mode=mode, x0=0.0)
+    reference = build_increment_sampler(p, long_step).draw(np.random.default_rng(53), 20_000)
+    assert ks_2samp(starts, reference).pvalue > 0.01
+    sm = stationary_moments(p, mode)
+    z = (starts.mean() - sm.mean) / (sm.std_dev / np.sqrt(starts.size))
+    assert abs(z) <= 4.0, z
+
+
+def test_stationary_start_at_infinite_lambda_dt():
+    # lambda dt overflows to inf, so ceil(37 / lambda dt) = 0: the start still
+    # takes one exact step and is drawn, not left at mu
+    for mode in (Marginal.GTS, Marginal.SD):
+        c = OuConfig(lambda_rate=1e308, dt=10.0, mode=mode, n_steps=1, seed=2)
+        assert c.lambda_rate * c.dt == np.inf
+        starts = np.array([path.x[0] for path in simulate_ensemble(EQUITY_PARAMS, c, 20)])
+        assert np.isfinite(starts).all() and (starts != EQUITY_PARAMS.mu).all()
+        assert np.unique(starts).size == starts.size
+
+
+def test_slow_stationary_start_refused():
+    # lambda dt = 1e-6 would need 3.7e7 start steps, past the cap of 2^20:
+    # refused with a pointer to a fixed start, which still runs
+    c = OuConfig(lambda_rate=1e-6, dt=1.0, n_steps=10)
+    with pytest.raises(ValueError, match=r"lambda dt = 1e-06 .*x0"):
+        simulate_path(EQUITY_PARAMS, c)
+    fixed = OuConfig(lambda_rate=1e-6, dt=1.0, n_steps=10, x0=0.0)
+    assert simulate_path(EQUITY_PARAMS, fixed).x.shape == (11,)
 
 
 def test_burn_in_policy():
