@@ -75,6 +75,8 @@ def cmd_fit(args) -> int:
 
     print(f"fit: {len(trace.states) - 1} iterations, converged={trace.converged} "
           f"({trace.reason})")
+    print(f"grid: {trace.grid.n_points} points on [{trace.grid.x_min:.4g}, "
+          f"{trace.grid.x_max:.4g}], xi_max {trace.grid.xi_max:.4g}")
     print(f"log-likelihood {final.log_likelihood:.4f}, gradient norm "
           f"{final.gradient_norm:.3e}, max Hessian eigenvalue {final.max_eigenvalue:.4e}")
     for name, value in final.params.to_dict().items():

@@ -55,6 +55,7 @@ class FitTrace:
     reason: str  # GradientTol | MaxIter | NoProgress | SingularHessian
     # proposals turned into +inf, by the name of the exception that refused them
     infeasible: dict = field(default_factory=dict)
+    grid: GridSpec | None = None  # the planned grid, after any range expansion
 
     @property
     def final(self) -> FitState:
@@ -227,21 +228,55 @@ def moment_matched_init(data) -> GtsParams:
     return GtsParams(mu, beta, beta, a_plus, a_minus, lam, lam)
 
 
-def fit_grid(data, init: GtsParams, n_points: int = 16384) -> GridSpec:
+# fit_grid's budget on the stencil's log-likelihood error, and its largest grid
+_STENCIL_LL_TOL = 1e-5
+_FIT_GRID_CAP = 2**22
+
+
+def fit_grid(data, init: GtsParams, n_points: int | None = None) -> GridSpec:
     """One frozen grid reused by every likelihood evaluation of a fit: the
     x-range covers both the initial law's mean +- 15 sd and the data with
     margin; the frequency cutoff gets a 1.5x safety factor so the grid stays
-    valid as the parameters move.  ``n_points`` is a floor: like
-    ``default_grid``, the count is doubled until the x grid's Nyquist
-    frequency covers 1.5x the cutoff (``alias_free_points``)."""
+    valid as the parameters move.
+
+    With ``n_points`` None the alias-free count (``alias_free_points`` from
+    256) doubles until ``_stencil_ll_error`` against twice the points, a
+    Richardson estimate of the log-likelihood error the cubic stencil adds,
+    is at most ``_STENCIL_LL_TOL`` = 1e-5.  It is measured at ``init`` only.
+    NormalizationError if that needs a grid of more than 2^22 points.  A
+    given ``n_points`` is a floor instead, doubled only until the x grid's
+    Nyquist frequency covers 1.5x the cutoff, as in ``default_grid``."""
     data = np.asarray(data, dtype=float)
     k = cumulants(init, 2)
     sd = float(np.sqrt(k[2]))
     lo = min(k[1] - 15.0 * sd, float(data.min()) - 2.0 * sd)
     hi = max(k[1] + 15.0 * sd, float(data.max()) + 2.0 * sd)
     xi_max = 1.5 * default_xi_max(lambda xi: psi_gts(xi, init))
-    n = alias_free_points(n_points, xi_max, hi - lo)
-    return GridSpec(n_points=n, x_min=lo, x_max=hi, xi_max=xi_max)
+
+    def grid(n: int) -> GridSpec:
+        return GridSpec(n_points=n, x_min=lo, x_max=hi, xi_max=xi_max)
+
+    if n_points is not None:
+        return grid(alias_free_points(n_points, xi_max, hi - lo))
+    n = alias_free_points(256, xi_max, hi - lo)
+    f_n = _density_at_data(data, init, grid(n))[-1]
+    while 2 * n <= _FIT_GRID_CAP:
+        f_2n = _density_at_data(data, init, grid(2 * n))[-1]
+        if _stencil_ll_error(f_n, f_2n) <= _STENCIL_LL_TOL:
+            return grid(n)
+        n, f_n = 2 * n, f_2n
+    raise NormalizationError(
+        f"the stencil's log-likelihood error at {n} points is above "
+        f"{_STENCIL_LL_TOL:g}, and a finer check would need more than {_FIT_GRID_CAP} points")
+
+
+def _stencil_ll_error(f_n: np.ndarray, f_2n: np.ndarray) -> float:
+    """sum |f_n - f_2n| / f_2n over the data not on the 1e-300 floor, from the
+    stencil densities on a grid and on twice its points.  The stencil errs by
+    O(dx^4), so f_n - f_2n is 15/16 of f_n's error and the sum about
+    sum |log f_n - log f|, which bounds the log-likelihood error."""
+    live = (f_n > PDF_FLOOR) & (f_2n > PDF_FLOOR)
+    return float(np.sum(np.abs(f_n[live] - f_2n[live]) / f_2n[live]))
 
 
 def _coordinates(p: GtsParams) -> np.ndarray:
@@ -287,8 +322,15 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     MaxIter (``max_iter`` accepted steps), NoProgress (the model predicts no
     decrease) and SingularHessian (the subproblem's linear algebra failed).
     The grid (``fit_grid`` unless ``g`` is given, expanded to cover the data)
-    is planned once, and every evaluation reuses its InversionPlan.
+    is planned once, every evaluation reuses its InversionPlan, and
+    ``FitTrace.grid`` reports it; ``fit_grid`` budgets the stencil's
+    log-likelihood error at ``init`` only.  ValueError before any planning
+    unless ``grad_tol`` is finite and >= 0 and ``max_iter`` an integer >= 0.
     """
+    if not (np.isfinite(grad_tol) and grad_tol >= 0.0):
+        raise ValueError(f"grad_tol must be finite and >= 0, got {grad_tol!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     data = _check_data(data)
     plan = _plan_for(data, fit_grid(data, init) if g is None else g)
     states: list[FitState] = []
@@ -357,7 +399,8 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
                        callback=callback, options={"gtol": 0.0})  # callback stops
         if reason is None:
             reason = {1: "MaxIter", 3: "SingularHessian"}.get(res.status, "NoProgress")
-    return FitTrace(tuple(states), reason == "GradientTol", reason, dict(infeasible))
+    return FitTrace(tuple(states), reason == "GradientTol", reason, dict(infeasible),
+                    plan.grid)
 
 
 def trace_rows(trace: FitTrace) -> list[list]:

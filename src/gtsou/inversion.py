@@ -275,8 +275,11 @@ def default_grid(exponent, mean: float, std: float, n_points: int = 16384,
 
     ``n_points`` is a floor, not a pin: for slowly decaying characteristic
     functions ``alias_free_points`` doubles it until the x grid's Nyquist
-    frequency covers 1.5x the cutoff.
+    frequency covers 1.5x the cutoff.  ValueError unless ``span`` is finite
+    and > 0.
     """
+    if not (np.isfinite(span) and span > 0.0):
+        raise ValueError(f"span must be finite and > 0, got {span!r}")
     x_min = mean - span * std
     x_max = mean + span * std
     if xi_max is None:

@@ -256,6 +256,8 @@ def test_fit_writes_trace_and_params(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys)
     assert code == 1  # not converged in one step
     assert "converged=False" in out
+    # the budgeted grid of this 400-point sample: its alias-free 2048 points
+    assert "grid: 2048 points on [" in out and "xi_max 116.2" in out
     with open(tmp_path / "fit_trace.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "Iterations"
@@ -266,6 +268,24 @@ def test_fit_writes_trace_and_params(tmp_path, monkeypatch, capsys):
     # the trace's last row equals the saved parameter vector
     np.testing.assert_allclose([float(v) for v in rows[-1][1:8]],
                                fitted.as_vector(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("flag, value, cause", [
+    ("--grad-tol", "nan", "grad_tol must be finite and >= 0"),
+    ("--grad-tol", "-1", "grad_tol must be finite and >= 0"),
+    ("--max-iter", "-3", "max_iter must be an integer >= 0"),
+])
+def test_fit_rejects_bad_tolerances(flag, value, cause, tmp_path, monkeypatch, capsys):
+    csv_path = tmp_path / "returns.csv"
+    emit_series(csv_path, ReturnSeries(
+        sample_marginal(EQUITY_PARAMS, Marginal.GTS, 400, np.random.default_rng(23)),
+        source="synthetic"))
+    code, out, err = run_cli(["fit", str(csv_path), flag, value],
+                             tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert err.startswith("error:") and cause in err
+    assert out == ""
+    assert not (tmp_path / "fit_trace.csv").exists()
 
 
 def test_validate_single_check(tmp_path, monkeypatch, capsys):
@@ -309,6 +329,9 @@ def _run_child(*args, timeout=None):
     ("--xi-max", "0", "xi_max must be > 0"),
     ("--xi-max", "-1", "xi_max must be > 0"),
     ("--xi-max", "inf", "must be finite"),
+    ("--span", "0", "span must be finite and > 0"),
+    ("--span", "-1", "span must be finite and > 0"),
+    ("--span", "nan", "span must be finite and > 0"),
 ])
 def test_density_rejects_bad_grid_inputs(flag, value, cause, tmp_path):
     # a child process with a timeout, so that a sizing loop that never ends

@@ -228,6 +228,63 @@ def test_fit_grid_checks_the_floor_first(equity_sample):
             fit_grid(data, EQUITY_PARAMS, n_points=n)
 
 
+@pytest.fixture(scope="module")
+def c8_sample():
+    data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 5000, np.random.default_rng(4))
+    return data, moment_matched_init(data)
+
+
+def test_fit_grid_budget_on_c8(c8_sample):
+    # the alias-free count is 4096; the stencil's error estimate there is
+    # 2.5e-5, above the budget, and 1.6e-6 at 8192, within it
+    data, init = c8_sample
+    g = fit_grid(data, init)
+    assert g.n_points == 8192
+    assert fit_grid(data, init, n_points=256).n_points == 4096
+    # only the count is budgeted: range and cutoff are those of the floor rule
+    assert g == fit_grid(data, init, n_points=8192)
+    f = {n: estimation._density_at_data(data, init, GridSpec(n, g.x_min, g.x_max,
+                                                              g.xi_max))[-1]
+         for n in (4096, 8192, 16384)}
+    assert estimation._stencil_ll_error(f[4096], f[8192]) > estimation._STENCIL_LL_TOL
+    assert estimation._stencil_ll_error(f[8192], f[16384]) <= estimation._STENCIL_LL_TOL
+
+
+def test_fit_on_the_budgeted_grid_matches_16384_points(c8_sample):
+    # the budget's gate: C8's fit on its 8192-point grid reaches the optimum
+    # of the 16384-point grid that was the fixed floor
+    data, init = c8_sample
+    budgeted = fit(data, init, grad_tol=1e-3)
+    fine = fit(data, init, grad_tol=1e-3, g=fit_grid(data, init, n_points=16384))
+    assert budgeted.grid.n_points == 8192 and fine.grid.n_points == 16384
+    assert budgeted.reason == fine.reason == "GradientTol"
+    assert budgeted.final.log_likelihood == pytest.approx(fine.final.log_likelihood,
+                                                          rel=0.0, abs=1e-6)
+    np.testing.assert_allclose(budgeted.final.params.as_vector(),
+                               fine.final.params.as_vector(), rtol=1e-5)
+
+
+def test_fit_grid_refuses_past_the_cap(c8_sample, monkeypatch):
+    # a budget no grid meets: the doubling stops at the cap, builds no grid
+    # beyond it, and names the cause
+    data, init = c8_sample
+    monkeypatch.setattr(estimation, "_STENCIL_LL_TOL", 0.0)
+    monkeypatch.setattr(estimation, "_FIT_GRID_CAP", 2**14)
+    original = estimation._density_at_data
+    built = []
+
+    def spy(data, p, g):
+        built.append(g.n_points)
+        return original(data, p, g)
+
+    monkeypatch.setattr(estimation, "_density_at_data", spy)
+    with pytest.raises(NormalizationError, match="stencil's log-likelihood error"):
+        fit_grid(data, init)
+    assert built == [4096, 8192, 16384]
+    with pytest.raises(NormalizationError, match="16384"):
+        fit(data, init)
+
+
 def test_log_likelihood_permutation_invariant(equity_sample):
     data, g = equity_sample
     shuffled = np.random.default_rng(15).permutation(data)
@@ -371,6 +428,31 @@ def test_fit_iteration_budget(compact_fit):
     assert not capped.converged
     assert capped.reason == "MaxIter"
     assert len(capped.states) == 2
+
+
+@pytest.mark.parametrize("kwargs, cause", [
+    ({"grad_tol": float("nan")}, "grad_tol"),
+    ({"grad_tol": float("inf")}, "grad_tol"),
+    ({"grad_tol": -1e-3}, "grad_tol"),
+    ({"max_iter": -3}, "max_iter"),
+    ({"max_iter": 2.5}, "max_iter"),
+])
+def test_fit_rejects_unusable_tolerances(compact_fit, monkeypatch, kwargs, cause):
+    # refused before any grid is planned
+    data, _, _ = compact_fit
+    monkeypatch.setattr(estimation, "fit_grid", None)
+    with pytest.raises(ValueError, match=cause):
+        fit(data, moment_matched_init(data), **kwargs)
+
+
+def test_fit_trace_reports_its_grid(compact_fit):
+    data, g, trace = compact_fit
+    assert trace.grid == g
+    # data beyond the given grid: the trace reports the expanded range
+    narrow = g.with_range(float(np.median(data)), g.x_max)
+    capped = fit(data, moment_matched_init(data), max_iter=0, g=narrow)
+    assert capped.grid.n_points == g.n_points
+    assert capped.grid.x_min < data.min() and capped.grid.x_max == g.x_max
 
 
 STOP_REASONS = {"GradientTol", "MaxIter", "NoProgress", "SingularHessian"}
