@@ -12,26 +12,22 @@ import argparse
 import dataclasses
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from .ou import OuConfig
+    from .params import GtsParams
 
-from .cumulants import Marginal, cumulants, stationary_moments
-from .estimation import fit, moment_matched_init
-from .exponents import bdlp_exponent, psi_gts, sd_exponent
-from .inversion import default_grid, invert_cf
-from .io import (SeriesKind, ingest, write_density_csv, write_exponent_csv,
-                 write_json, write_paths_csv, write_trace_csv)
-from .levy import levy_density_bdlp, levy_density_gts, levy_density_sd
-from .ou import (OuConfig, build_increment_sampler, ensemble_moments,
-                 increment_cumulants, increment_exponent, simulate_ensemble)
-from .params import GtsParams
-from .validation import PRESETS, run_all
-
-_MODES = {"gts": Marginal.GTS, "sd": Marginal.SD}
+# Each subcommand imports what it uses when it runs: --help loads no scipy, and
+# moments and density load none of scipy.optimize, scipy.interpolate,
+# scipy.integrate and scipy.signal.
+_MODES = ("gts", "sd")
 
 
 def _load_params(spec: str) -> GtsParams:
     """Accept either a bundled preset name or a JSON parameter file path."""
+    from .params import PRESETS, GtsParams
+
     if spec in PRESETS:
         return PRESETS[spec]
     if os.path.exists(spec):
@@ -64,6 +60,9 @@ def _print_report(report) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_fit(args) -> int:
+    from .estimation import fit, moment_matched_init
+    from .io import SeriesKind, ingest, write_trace_csv
+
     series = ingest(args.data, SeriesKind(args.kind))
     init = _load_params(args.init) if args.init else moment_matched_init(series.values)
     trace = fit(series.values, init, grad_tol=args.grad_tol, max_iter=args.max_iter)
@@ -88,6 +87,13 @@ def cmd_fit(args) -> int:
 
 def _density_dispatch(law: str, p: GtsParams, c: OuConfig | None):
     """(exponent callable, Levy-density callable or None, grid mean, grid sd)."""
+    import numpy as np
+
+    from .cumulants import Marginal, cumulants, stationary_moments
+    from .exponents import bdlp_exponent, psi_gts, sd_exponent
+    from .levy import levy_density_bdlp, levy_density_gts, levy_density_sd
+    from .ou import increment_cumulants, increment_exponent
+
     if law == "gts":
         k = cumulants(p, 2)
         return (lambda xi: psi_gts(xi, p), lambda x: levy_density_gts(x, p),
@@ -108,11 +114,18 @@ def _density_dispatch(law: str, p: GtsParams, c: OuConfig | None):
 
 
 def cmd_density(args) -> int:
+    import numpy as np
+
+    from .cumulants import Marginal
+    from .inversion import default_grid, invert_cf
+    from .io import write_density_csv, write_exponent_csv
+    from .ou import OuConfig
+
     p = _load_params(args.params)
     c = None
     if args.law == "increment":
         c = OuConfig(lambda_rate=args.ou_lambda, dt=args.dt,
-                     mode=_MODES[args.mode], seed=args.seed)
+                     mode=Marginal(args.mode), seed=args.seed)
     exponent, levy_fn, mean, sd = _density_dispatch(args.law, p, c)
 
     g = default_grid(exponent, mean, sd, n_points=args.grid_n, span=args.span,
@@ -132,10 +145,14 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .cumulants import Marginal
+    from .io import write_json, write_paths_csv
+    from .ou import OuConfig, build_increment_sampler, ensemble_moments, simulate_ensemble
+
     p = _load_params(args.params)
     if args.n_paths < 1:
         raise ValueError("--n-paths must be >= 1")
-    c = OuConfig(lambda_rate=args.ou_lambda, dt=args.dt, mode=_MODES[args.mode],
+    c = OuConfig(lambda_rate=args.ou_lambda, dt=args.dt, mode=Marginal(args.mode),
                  x0=args.x0, n_steps=args.n_steps, seed=args.seed)
     sampler = build_increment_sampler(p, c)
     paths = simulate_ensemble(p, c, args.n_paths, sampler)
@@ -155,8 +172,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from .cumulants import Marginal, cumulants, stationary_moments
+    from .io import write_json
+
     p = _load_params(args.params)
-    payload = {tag: stationary_moments(p, mode).as_dict() for tag, mode in _MODES.items()}
+    payload = {tag: stationary_moments(p, Marginal(tag)).as_dict() for tag in _MODES}
     k = cumulants(p, 4)
     payload["cumulants"] = {f"kappa{i}": k[i] for i in range(1, 5)}
 
@@ -177,6 +197,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .io import write_json
+    from .validation import run_all
+
     ids = None
     if args.ids:
         ids = [piece for part in args.ids.split(",") if (piece := part.strip())]

@@ -8,7 +8,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gamma as _gamma
 
 from .cumulants import cumulants
@@ -327,6 +326,8 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     log-likelihood error at ``init`` only.  ValueError before any planning
     unless ``grad_tol`` is finite and >= 0 and ``max_iter`` an integer >= 0.
     """
+    from scipy.optimize import minimize
+
     if not (np.isfinite(grad_tol) and grad_tol >= 0.0):
         raise ValueError(f"grad_tol must be finite and >= 0, got {grad_tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from math import factorial
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma as _digamma
 from scipy.special import gamma as _gamma
 from scipy.special import polygamma as _polygamma
@@ -247,6 +246,8 @@ def sd_exponent_unit_form(xi, p: GtsParams):
     (log-branch below beta < 1e-6), combined as mu*xi*i + gamma+(xi) + gamma-(-xi).
     Kept as an independent evaluation route; scalar xi only.
     """
+    from scipy.integrate import quad
+
     xi = float(xi)
 
     def one_sided(x, beta, alpha, lam):

@@ -3,10 +3,10 @@ lookup for inverse-transform sampling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .frft import phase_mod2
 
@@ -48,13 +48,13 @@ class DensityGrid:
     ``pdf`` is clipped nonnegative and renormalized to unit trapezoid mass;
     ``cdf`` is the renormalized cumulative trapezoid.  ``quantile_table`` is
     the monotone (PCHIP) inverse of the cdf restricted to its strictly
-    increasing section; ``pdf_at`` builds a pdf PCHIP on each call.
+    increasing section, built on first access; ``pdf_at`` builds a pdf PCHIP
+    on each call.
     """
 
     x: np.ndarray
     pdf: np.ndarray
     cdf: np.ndarray
-    quantile_table: PchipInterpolator = field(repr=False)
     raw_mass: float = 1.0
 
     def __post_init__(self):
@@ -64,8 +64,17 @@ class DensityGrid:
 
     # -- lookups ----------------------------------------------------------
 
+    @cached_property
+    def quantile_table(self):
+        from scipy.interpolate import PchipInterpolator
+
+        keep = np.concatenate(([True], np.diff(self.cdf) > 1e-15))
+        return PchipInterpolator(self.cdf[keep], self.x[keep], extrapolate=False)
+
     def pdf_at(self, x):
         """PDF interpolated at arbitrary points; zero outside the grid."""
+        from scipy.interpolate import PchipInterpolator
+
         interp = PchipInterpolator(self.x, self.pdf, extrapolate=False)
         out = interp(np.asarray(x, dtype=float))
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
@@ -210,8 +219,8 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
     than 1e-3 or is not finite; tiny negative ringing lobes are clipped to
     zero and the grid renormalized.
     """
-    # the exponent runs before the plan exists and the quantile PCHIP is built
-    # after it is gone, so the plan's arrays never add to either peak
+    # the exponent runs before the plan exists, so the plan's arrays never add
+    # to its peak
     cf_half = np.exp(exponent(half_frequencies(g)))
     plan = InversionPlan(g)
     pdf, mass = plan.pdf(cf_half)
@@ -220,10 +229,7 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
 
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
     cdf = np.minimum(cdf / cdf[-1], 1.0)
-
-    keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
-    inv = PchipInterpolator(cdf[keep], x[keep], extrapolate=False)
-    return DensityGrid(x, pdf, cdf, inv, raw_mass=mass)
+    return DensityGrid(x, pdf, cdf, raw_mass=mass)
 
 
 def cf_on_grid(d: DensityGrid, xi) -> np.ndarray:

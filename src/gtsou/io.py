@@ -9,11 +9,13 @@ import csv
 import enum
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimation import TRACE_COLUMNS, FitTrace, trace_rows
-from .inversion import DensityGrid
+if TYPE_CHECKING:
+    from .estimation import FitTrace
+    from .inversion import DensityGrid
 
 
 class SeriesKind(enum.Enum):
@@ -115,6 +117,8 @@ def write_exponent_csv(path, xi, values) -> None:
 def write_trace_csv(path, trace: FitTrace) -> None:
     """Iteration table: step index, the seven parameters, the log-likelihood,
     its gradient norm, and the largest Hessian eigenvalue."""
+    from .estimation import TRACE_COLUMNS, trace_rows
+
     _write_table(path, TRACE_COLUMNS,
                  "%d" + ",%.15g" * (len(TRACE_COLUMNS) - 1) + "\r\n",
                  map(tuple, trace_rows(trace)))

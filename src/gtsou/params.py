@@ -107,3 +107,18 @@ class GtsParams:
 
 
 assert tuple(f.name for f in fields(GtsParams)) == PARAM_NAMES
+
+# Bundled reference parameter sets: seven-parameter fits of daily percent
+# log-returns (a large-cap equity index and a major cryptocurrency), used by
+# the validation suite and available to the CLI as named presets.
+EQUITY_PARAMS = GtsParams(
+    mu=-0.693477, beta_plus=0.682290, beta_minus=0.242579,
+    alpha_plus=0.458582, alpha_minus=0.414443,
+    lambda_plus=0.822222, lambda_minus=0.727607,
+)
+CRYPTO_PARAMS = GtsParams(
+    mu=-0.736924, beta_plus=0.461378, beta_minus=0.267178,
+    alpha_plus=0.810017, alpha_minus=0.517347,
+    lambda_plus=0.215628, lambda_minus=0.191937,
+)
+PRESETS = {"equity": EQUITY_PARAMS, "crypto": CRYPTO_PARAMS}

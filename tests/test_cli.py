@@ -358,3 +358,38 @@ def test_import_leaves_scipy_signal_unloaded():
                             "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _scipy_loaded_after(code):
+    """The scipy modules loaded by a fresh interpreter after running code."""
+    proc = _run_child("-c", f"{code}\nimport sys\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    return eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_loaded_after("import gtsou") == []
+
+
+def test_help_loads_no_scipy():
+    code = ("from gtsou.cli import main\n"
+            "try:\n    main(['--help'])\nexcept SystemExit:\n    pass")
+    assert _scipy_loaded_after(code) == []
+
+
+_HEAVY = {"scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.signal"}
+
+
+def test_moments_loads_only_scipy_special():
+    loaded = _scipy_loaded_after("from gtsou.cli import main\n"
+                                 "assert main(['moments', '--params', 'equity']) == 0")
+    assert _HEAVY.isdisjoint(loaded)
+
+
+def test_density_loads_no_interpolant_or_optimizer(tmp_path):
+    out = str(tmp_path / "d.csv")
+    loaded = _scipy_loaded_after("from gtsou.cli import main\n"
+                                 "assert main(['density', '--params', 'equity', "
+                                 f"'--law', 'sd', '--out', {out!r}]) == 0")
+    assert _HEAVY.isdisjoint(loaded)

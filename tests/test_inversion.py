@@ -104,6 +104,34 @@ def test_quantile_cdf_round_trip():
         assert d.cdf_at(quantile(d, u)) == pytest.approx(u, abs=2 * cell + 1e-9)
 
 
+def test_quantile_table_built_on_first_quantile(monkeypatch):
+    # invert_cf builds no interpolant; the first quantile builds the inverse-cdf
+    # PCHIP once, and it equals the one invert_cf used to build eagerly
+    import scipy.interpolate
+
+    pchip = scipy.interpolate.PchipInterpolator
+    built = []
+
+    class CountingPchip(pchip):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", CountingPchip)
+    exponent = lambda xi: psi_gts(xi, EQUITY_PARAMS)
+    k = cumulants(EQUITY_PARAMS, 2)
+    d = invert_cf(exponent, default_grid(exponent, k[1], np.sqrt(k[2])))
+    assert built == []
+
+    keep = np.concatenate(([True], np.diff(d.cdf) > 1e-15))
+    table = pchip(d.cdf[keep], d.x[keep], extrapolate=False)
+    u = np.random.default_rng(4).uniform(1e-9, 1.0 - 1e-9, 2001)
+    expected = table(np.clip(u, table.x[0], table.x[-1]))
+    assert np.array_equal(quantile(d, u), expected)
+    assert np.array_equal(quantile(d, u[:7]), expected[:7])
+    assert built == [1]
+
+
 def test_gts_moments_match_cumulants():
     p = EQUITY_PARAMS
     k = cumulants(p, 4)

@@ -44,7 +44,7 @@ def _grid() -> DensityGrid:
     pdf = np.exp(-0.5 * X**2) / np.sqrt(2.0 * np.pi)
     pdf[0] = 1e-310  # subnormal
     cdf = np.cumsum(pdf) / pdf.sum()
-    return DensityGrid(X.copy(), pdf, cdf, quantile_table=None)
+    return DensityGrid(X.copy(), pdf, cdf)
 
 
 @pytest.mark.parametrize("levy", [levy_density_gts, levy_density_bdlp,
