@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--ou-lambda", type=float, default=1.0)
     d.add_argument("--dt", type=float, default=1.0)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--grid-n", type=int, default=16384)
+    d.add_argument("--grid-n", type=int, default=16384,
+                   help="rows of the table: exactly this many x nodes (a power of two)")
     d.add_argument("--span", type=float, default=15.0,
                    help="half-width of the x-range in standard deviations")
     d.add_argument("--xi-max", type=float, default=None,

@@ -12,8 +12,7 @@ from scipy.special import gamma as _gamma
 
 from .cumulants import cumulants
 from .exponents import psi_gts, psi_gts_derivatives
-from .inversion import (GridSpec, InversionPlan, NormalizationError, alias_free_points,
-                        default_xi_max)
+from .inversion import GridSpec, InversionPlan, NormalizationError, default_xi_max
 from .params import PARAM_NAMES, GtsParams
 
 PDF_FLOOR = 1e-300  # keeps log f finite when a tail point underflows the grid
@@ -238,14 +237,14 @@ def fit_grid(data, init: GtsParams, n_points: int | None = None) -> GridSpec:
     margin; the frequency cutoff gets a 1.5x safety factor so the grid stays
     valid as the parameters move.
 
-    With ``n_points`` None the alias-free count (``alias_free_points`` from
-    256) doubles until ``_stencil_ll_error`` against twice the points, a
+    A given ``n_points`` is used as is.  Otherwise the count starts at the
+    first power of two from 256 whose Nyquist frequency pi/dx reaches 1.5x
+    the cutoff (on C8's sample no coarser grid meets the budget) and
+    doubles until ``_stencil_ll_error`` against twice the points, a
     Richardson estimate of the log-likelihood error the cubic stencil adds,
-    is at most ``_STENCIL_LL_TOL`` = 1e-5.  It is measured at ``init`` only.
-    NormalizationError if that needs a grid of more than 2^22 points.  A
-    given ``n_points`` is a floor instead, doubled only until the x grid's
-    Nyquist frequency covers 1.5x the cutoff, as in ``default_grid``."""
-    data = np.asarray(data, dtype=float)
+    is at most ``_STENCIL_LL_TOL`` = 1e-5, measured at ``init`` only;
+    NormalizationError if that needs more than 2^22 points."""
+    data = _check_data(data)
     k = cumulants(init, 2)
     sd = float(np.sqrt(k[2]))
     lo = min(k[1] - 15.0 * sd, float(data.min()) - 2.0 * sd)
@@ -256,8 +255,10 @@ def fit_grid(data, init: GtsParams, n_points: int | None = None) -> GridSpec:
         return GridSpec(n_points=n, x_min=lo, x_max=hi, xi_max=xi_max)
 
     if n_points is not None:
-        return grid(alias_free_points(n_points, xi_max, hi - lo))
-    n = alias_free_points(256, xi_max, hi - lo)
+        return grid(n_points)
+    n = 256
+    while np.pi * (n - 1) / xi_max < 1.5 * (hi - lo):
+        n *= 2
     f_n = _density_at_data(data, init, grid(n))[-1]
     while 2 * n <= _FIT_GRID_CAP:
         f_2n = _density_at_data(data, init, grid(2 * n))[-1]

@@ -19,7 +19,9 @@ class NormalizationError(ArithmeticError):
 @dataclass(frozen=True)
 class GridSpec:
     """Inversion grid: n_points uniform x nodes on [x_min, x_max], and the
-    frequency cutoff xi_max of the characteristic function."""
+    frequency cutoff xi_max of the characteristic function.  Construction
+    raises NormalizationError if the top frequency index K = ceil(xi_max / dxi),
+    about xi_max (x_max - x_min) / pi at any n_points, exceeds 2^21."""
 
     n_points: int = 16384
     x_min: float = -20.0
@@ -36,6 +38,12 @@ class GridSpec:
             raise ValueError("x_min must be < x_max")
         if not self.xi_max > 0.0:
             raise ValueError("xi_max must be > 0")
+        top = _spacings(self)[2]
+        if top > 2**21:
+            raise NormalizationError(
+                f"the grid needs K = {top} frequency nodes (xi_max={self.xi_max:g}, x-range "
+                f"[{self.x_min:g}, {self.x_max:g}]), more than 2^21; narrow the x-range or "
+                "lower the frequency cutoff")
 
     def with_range(self, x_min: float, x_max: float) -> "GridSpec":
         return GridSpec(self.n_points, float(x_min), float(x_max), self.xi_max)
@@ -139,8 +147,8 @@ class InversionPlan:
     is one real inverse FFT of length N = 2n after the x_min shift phase
     e^(-i k dxi x_min).  Node k adds to bin k mod N of the stored half
     spectrum, or conjugated to bin N - (k mod N) where k mod N > N/2; the fold
-    is exact, since the DFT sees only k mod N.  Built once per GridSpec, so
-    ``raw``, ``pdf`` and ``adjoint`` cost one real FFT each.
+    is exact for any K, since the DFT sees only k mod N.  Built once per
+    GridSpec, so ``raw``, ``pdf`` and ``adjoint`` cost one real FFT each.
     """
 
     def __init__(self, g: GridSpec):
@@ -202,7 +210,8 @@ class InversionPlan:
             cause = (f"density mass {mass:.6f} deviates from 1 by more than 1e-3"
                      if np.isfinite(mass) else f"density mass is not finite ({mass})")
             raise NormalizationError(
-                f"{cause} (xi_max={g.xi_max:g}, x-range [{g.x_min:g}, {g.x_max:g}])")
+                f"{cause} ({g.n_points} points, xi_max={g.xi_max:g}, "
+                f"x-range [{g.x_min:g}, {g.x_max:g}])")
         return pdf / mass, mass
 
 
@@ -276,37 +285,16 @@ def default_xi_max(exponent) -> float:
 
 def default_grid(exponent, mean: float, std: float, n_points: int = 16384,
                  span: float = 15.0, xi_max: float | None = None) -> GridSpec:
-    """Grid spanning mean +- span standard deviations, frequency cutoff at
-    |cf| < 1e-12 unless ``xi_max`` is given.
+    """Grid of exactly ``n_points`` x nodes spanning mean +- span standard
+    deviations, frequency cutoff at |cf| < 1e-12 unless ``xi_max`` is given.
 
-    ``n_points`` is a floor, not a pin: for slowly decaying characteristic
-    functions ``alias_free_points`` doubles it until the x grid's Nyquist
-    frequency covers 1.5x the cutoff.  ValueError unless ``span`` is finite
-    and > 0.
+    ``InversionPlan`` gives the trapezoid sum exactly at every node for any
+    point count, so ``n_points`` sets only the x spacing.  ValueError unless
+    ``span`` is finite and > 0.
     """
     if not (np.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and > 0, got {span!r}")
-    x_min = mean - span * std
-    x_max = mean + span * std
     if xi_max is None:
         xi_max = default_xi_max(exponent)
-    n = alias_free_points(n_points, xi_max, x_max - x_min)
-    return GridSpec(n_points=n, x_min=x_min, x_max=x_max, xi_max=xi_max)
-
-
-def alias_free_points(n_points: int, xi_max: float, width: float) -> int:
-    """``n_points`` doubled until the Nyquist frequency pi/dx of the x grid,
-    dx = width/(n-1), reaches 1.5 xi_max.  The top frequency index
-    K = ceil(xi_max/dxi) is then at most about 2n/3, so no frequency node of
-    ``InversionPlan`` folds; the alias period 2 pi/dxi is twice the window at
-    every n.  ``GridSpec`` checks the arguments before the loop runs;
-    NormalizationError beyond 2^22 points."""
-    n = GridSpec(n_points, 0.0, width, xi_max).n_points
-    while np.pi * (n - 1) / xi_max < 1.5 * width:
-        if n >= 2**22:
-            raise NormalizationError(
-                "a Nyquist frequency of 1.5x the cutoff would need more than "
-                "2^22 grid points; narrow the x-range or lower the frequency cutoff"
-            )
-        n *= 2
-    return n
+    return GridSpec(n_points=n_points, x_min=mean - span * std,
+                    x_max=mean + span * std, xi_max=xi_max)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -172,9 +173,23 @@ def test_density_writes_tables(tmp_path, monkeypatch, capsys):
     assert len(exp_rows) == 1002
 
 
-def test_density_xi_max_override_sizes_alias_free_grid(tmp_path, monkeypatch, capsys):
-    # a cutoff far above the automatic one needs more points than the
-    # automatic grid to keep the Poisson-summation period over the window
+@pytest.mark.parametrize("preset", ["equity", "crypto"])
+@pytest.mark.parametrize("law", ["gts", "bdlp", "sd", "increment"])
+def test_density_table_has_grid_n_rows(tmp_path, monkeypatch, capsys, law, preset):
+    # the table has exactly --grid-n rows, whatever the law's frequency cutoff
+    code, out, err = run_cli(["density", "--params", preset, "--law", law,
+                              "--grid-n", "1024"], tmp_path, monkeypatch, capsys)
+    assert code == 0, err
+    assert "1024 points" in out
+    data = np.loadtxt(tmp_path / f"density_{law}.csv", delimiter=",", skiprows=1,
+                      usecols=(0, 1))
+    assert data.shape == (1024, 2)
+    assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_density_xi_max_override_keeps_the_grid(tmp_path, monkeypatch, capsys):
+    # a cutoff far above the automatic one adds frequency nodes, which fold
+    # exactly, and leaves the x nodes and the density as they were
     def table(name, extra):
         code, out, err = run_cli(["density", "--params", "equity", "--law", "gts",
                                   "--out", name] + extra, tmp_path, monkeypatch, capsys)
@@ -184,9 +199,35 @@ def test_density_xi_max_override_sizes_alias_free_grid(tmp_path, monkeypatch, ca
 
     _, x_auto, pdf_auto = table("auto.csv", [])
     out, x, pdf = table("wide.csv", ["--xi-max", "4000"])
-    assert "65536 points" in out and x.size == 65536
-    assert (x[0], x[-1]) == (x_auto[0], x_auto[-1])
-    assert np.max(np.abs(np.interp(x_auto, x, pdf) - pdf_auto)) < 1e-6
+    assert "16384 points" in out
+    assert np.array_equal(x, x_auto)
+    assert np.max(np.abs(pdf - pdf_auto)) < 1e-10
+
+
+def test_density_too_coarse_grid_is_refused(tmp_path, monkeypatch, capsys):
+    # this increment law's peak is too narrow for 1024 x nodes: the mass check
+    # fails and names the point count, which the caller raises to pass
+    argv = ["density", "--params", "equity", "--law", "increment", "--mode", "gts",
+            "--ou-lambda", "0.1", "--grid-n"]
+    code, _, err = run_cli(argv + ["1024"], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert "density mass 0.964896" in err and "1024 points" in err
+    assert not (tmp_path / "density_increment.csv").exists()
+    code, out, err = run_cli(argv + ["4096"], tmp_path, monkeypatch, capsys)
+    assert code == 0, err
+    assert "4096 points" in out
+
+
+def test_density_refuses_too_many_frequency_nodes(tmp_path, monkeypatch, capsys):
+    # the crypto GTS increment at lambda dt = 0.1 needs K = 2958811 frequency
+    # nodes; GridSpec refuses it before the exponent is evaluated on any array
+    start = time.perf_counter()
+    code, _, err = run_cli(["density", "--params", "crypto", "--law", "increment",
+                            "--mode", "gts", "--ou-lambda", "0.1"],
+                           tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert "K = 2958811 frequency nodes" in err and "more than 2^21" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_density_increment_law(tmp_path, monkeypatch, capsys):
@@ -218,7 +259,7 @@ def test_simulate_outputs_and_determinism(tmp_path, monkeypatch, capsys):
 
 def test_simulate_crypto_gts_slow_reversion(tmp_path, monkeypatch, capsys):
     # this increment's CF decays so slowly that a grid would need more than
-    # 2^22 points (NormalizationError); the exact draws need none
+    # 2^21 frequency nodes (NormalizationError); the exact draws need none
     code, out, err = run_cli(["simulate", "--params", "crypto", "--mode", "gts",
                               "--ou-lambda", "0.1", "--dt", "1"],
                              tmp_path, monkeypatch, capsys)
@@ -256,7 +297,7 @@ def test_fit_writes_trace_and_params(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys)
     assert code == 1  # not converged in one step
     assert "converged=False" in out
-    # the budgeted grid of this 400-point sample: its alias-free 2048 points
+    # the budgeted grid of this 400-point sample: its first candidate, 2048 points
     assert "grid: 2048 points on [" in out and "xi_max 116.2" in out
     with open(tmp_path / "fit_trace.csv") as fh:
         rows = list(csv.reader(fh))
@@ -384,6 +425,13 @@ _HEAVY = {"scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.signa
 def test_moments_loads_only_scipy_special():
     loaded = _scipy_loaded_after("from gtsou.cli import main\n"
                                  "assert main(['moments', '--params', 'equity']) == 0")
+    assert _HEAVY.isdisjoint(loaded)
+
+
+def test_validate_c1_loads_no_heavy_scipy():
+    # run_all imports a group's scipy submodules only when that group runs
+    loaded = _scipy_loaded_after("from gtsou.cli import main\n"
+                                 "assert main(['validate', '--ids', 'C1']) == 0")
     assert _HEAVY.isdisjoint(loaded)
 
 

@@ -208,20 +208,16 @@ def test_log_likelihood_plan_expands_range_for_outliers(equity_sample):
         log_likelihood(widened, EQUITY_PARAMS, g)
 
 
-def test_fit_grid_alias_floor(equity_sample):
-    # at 256 points the x grid's Nyquist frequency pi (n-1)/width (~24) is
-    # far below 1.5x the cutoff (~287): fit_grid must double like default_grid
+def test_fit_grid_pins_a_given_count(equity_sample):
+    # a given count is kept, even 256 points, whose Nyquist frequency
+    # pi (n-1)/width (~24) is far below the cutoff (~287)
     data, _ = equity_sample
-    g = fit_grid(data, EQUITY_PARAMS, n_points=256)
-    assert g.n_points > 256
-    assert np.pi * (g.n_points - 1) / g.xi_max >= 1.5 * (g.x_max - g.x_min)
-    assert np.pi * (g.n_points // 2 - 1) / g.xi_max < 1.5 * (g.x_max - g.x_min)
-    # a grid that already clears the floor keeps its count
-    assert fit_grid(data, EQUITY_PARAMS, n_points=8192).n_points == 8192
+    for n in (256, 8192):
+        assert fit_grid(data, EQUITY_PARAMS, n_points=n).n_points == n
 
 
 def test_fit_grid_checks_the_floor_first(equity_sample):
-    # the floor obeys GridSpec's rule before any doubling
+    # a given count obeys GridSpec's rule
     data, _ = equity_sample
     for n in (-4, 128):
         with pytest.raises(ValueError, match="n_points"):
@@ -235,13 +231,14 @@ def c8_sample():
 
 
 def test_fit_grid_budget_on_c8(c8_sample):
-    # the alias-free count is 4096; the stencil's error estimate there is
-    # 2.5e-5, above the budget, and 1.6e-6 at 8192, within it
+    # the first candidate, the first count whose Nyquist frequency reaches
+    # 1.5x the cutoff, is 4096; the stencil's error estimate there is 2.5e-5,
+    # above the budget, and 1.6e-6 at 8192, within it
     data, init = c8_sample
     g = fit_grid(data, init)
     assert g.n_points == 8192
-    assert fit_grid(data, init, n_points=256).n_points == 4096
-    # only the count is budgeted: range and cutoff are those of the floor rule
+    assert fit_grid(data, init, n_points=256).n_points == 256
+    # only the count is budgeted: range and cutoff are those of a given count
     assert g == fit_grid(data, init, n_points=8192)
     f = {n: estimation._density_at_data(data, init, GridSpec(n, g.x_min, g.x_max,
                                                               g.xi_max))[-1]
@@ -252,7 +249,7 @@ def test_fit_grid_budget_on_c8(c8_sample):
 
 def test_fit_on_the_budgeted_grid_matches_16384_points(c8_sample):
     # the budget's gate: C8's fit on its 8192-point grid reaches the optimum
-    # of the 16384-point grid that was the fixed floor
+    # of a 16384-point grid
     data, init = c8_sample
     budgeted = fit(data, init, grad_tol=1e-3)
     fine = fit(data, init, grad_tol=1e-3, g=fit_grid(data, init, n_points=16384))

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtsou import (
+    CRYPTO_PARAMS,
     EQUITY_PARAMS,
     DensityGrid,
     GridSpec,
     NormalizationError,
+    bdlp_exponent,
     cf_on_grid,
     cumulants,
     default_grid,
@@ -20,7 +22,7 @@ from gtsou import (
     quantile,
 )
 from gtsou.frft import phase_mod2
-from gtsou.inversion import InversionPlan, alias_free_points, half_frequencies
+from gtsou.inversion import InversionPlan, half_frequencies
 
 
 def gaussian_exponent(mu=0.3, sigma=1.7):
@@ -31,22 +33,23 @@ def gaussian_pdf(x, mu=0.3, sigma=1.7):
     return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
 
 
-def direct_raw(g, s):
+def direct_raw(g, s, nodes=None):
     """The trapezoid sum (dxi/2pi) sum_{|k| <= K} w_k s_k e^(-i k dxi x) on the
-    x nodes, term by term: w = 1/2 at |k| = K, dxi = pi/(n dx), K the first
-    index with K dxi >= xi_max, and s_(-k) = conj(s_k)."""
+    x nodes (or on the node indices ``nodes``), term by term: w = 1/2 at
+    |k| = K, dxi = pi/(n dx), K the first index with K dxi >= xi_max, and
+    s_(-k) = conj(s_k)."""
     n = g.n_points
-    x = np.linspace(g.x_min, g.x_max, n)
+    nodes = np.arange(n) if nodes is None else np.asarray(nodes)
     dx = (g.x_max - g.x_min) / (n - 1)
     dxi = np.pi / (n * dx)
     k = np.arange(int(np.ceil(g.xi_max / dxi)) + 1)
     assert k[-1] * dxi >= g.xi_max > (k[-1] - 1) * dxi
     w = np.where(k == k[-1], 0.5, 1.0) * np.where(k > 0, 2.0, 1.0)
-    out = np.empty(n)
-    for rows in np.array_split(np.arange(n), max(1, n * k.size // 2**20)):
+    out = np.empty(nodes.size)
+    for part in np.array_split(np.arange(nodes.size), max(1, nodes.size * k.size // 2**20)):
         phase = np.exp(-1j * np.pi * (phase_mod2(g.x_min / (n * dx), k)
-                                      + phase_mod2(1.0 / n, np.outer(rows, k))))
-        out[rows] = dxi / (2.0 * np.pi) * np.real(phase @ (w * s))
+                                      + phase_mod2(1.0 / n, np.outer(nodes[part], k))))
+        out[part] = dxi / (2.0 * np.pi) * np.real(phase @ (w * s))
     return out
 
 
@@ -200,17 +203,30 @@ def test_default_xi_max_slow_decay_rejected():
         default_xi_max(slow)
 
 
-def test_default_grid_alias_floor():
-    # slowly decaying CF (cutoff ~2.8e3) over a wide window: the point count
-    # must grow until the x grid's Nyquist frequency pi/dx = pi (n-1)/width
-    # covers 1.5x the cutoff
+def test_default_grid_keeps_the_point_count():
+    # a slowly decaying CF (cutoff ~2.8e3) over a wide window has K ~ 2.6e5
+    # frequency nodes, far past 2n: the grid still has exactly the points asked
     slow = lambda xi: -0.01 * np.abs(np.asarray(xi, dtype=complex))
-    g = default_grid(slow, mean=0.0, std=10.0, n_points=4096)
-    assert g.n_points > 4096
-    assert np.pi * (g.n_points - 1) / g.xi_max >= 1.5 * (g.x_max - g.x_min)
-    # fast-decaying CF keeps the requested count
-    g2 = default_grid(gaussian_exponent(), mean=0.3, std=1.7, n_points=4096)
-    assert g2.n_points == 4096
+    for n in (256, 4096):
+        g = default_grid(slow, mean=0.0, std=10.0, n_points=n)
+        assert g.n_points == n and half_frequencies(g).size > 2 * 2 * n
+        assert default_grid(gaussian_exponent(), mean=0.3, std=1.7, n_points=n).n_points == n
+
+
+def test_folded_table_matches_direct_trapezoid_sum():
+    # the crypto BDLP table at the default 16384 points has K = 52444 > 2n
+    # frequency nodes, so most of them fold; at 64 nodes across the window its
+    # pdf equals the term-by-term trapezoid sum, clipped and renormalized
+    p = CRYPTO_PARAMS
+    k = cumulants(p, 2)
+    bdlp = lambda xi: bdlp_exponent(xi, p)
+    g = default_grid(bdlp, k[1], np.sqrt(2.0 * k[2]))
+    assert g.n_points == 16384 and half_frequencies(g).size - 1 > 2 * g.n_points
+    d = invert_cf(bdlp, g)
+    nodes = np.linspace(0, g.n_points - 1, 64).round().astype(int)
+    ref = np.maximum(direct_raw(g, np.exp(bdlp(half_frequencies(g))), nodes), 0.0)
+    np.testing.assert_allclose(d.pdf[nodes], ref / d.raw_mass, rtol=0.0, atol=1e-12)
+    assert d.pdf[nodes].max() > 0.01  # the nodes reach the bulk, not only the tails
 
 
 def test_plan_reuse_matches_fresh_calls():
@@ -290,27 +306,29 @@ def test_adjoint_transposes_raw_with_folding(case):
     assert abs(c @ raw - np.real(a @ s)) <= 1e-13 * scale
 
 
-def test_alias_free_points_floor_and_cap():
-    assert alias_free_points(256, 10.0, 1.0) == 256
-    n = alias_free_points(256, 200.0, 50.0)
-    assert n == 8192  # smallest power-of-two multiple with pi (n-1)/200 >= 75
-    assert np.pi * (n - 1) / 200.0 >= 75.0 > np.pi * (n // 2 - 1) / 200.0
-    with pytest.raises(NormalizationError):
-        alias_free_points(256, 1e7, 100.0)
+def test_grid_spec_refuses_too_many_frequency_nodes():
+    # K = ceil(xi_max / dxi) is checked at construction, before any array
+    # exists: 2^21 nodes are accepted, one more is refused with K named
+    with pytest.raises(NormalizationError, match=r"K = \d+ frequency nodes"):
+        GridSpec(256, 0.0, 100.0, 1e7)
+    dxi = np.pi * 255 / (256 * 100.0)
+    assert half_frequencies(GridSpec(256, 0.0, 100.0, (2**21 - 0.5) * dxi)).size == 2**21 + 1
+    with pytest.raises(NormalizationError, match=f"K = {2**21 + 1} "):
+        GridSpec(256, 0.0, 100.0, (2**21 + 0.5) * dxi)
 
 
 def test_grid_inputs_checked_before_sizing():
-    # GridSpec's rules reject a bad floor or cutoff before the doubling runs,
-    # and the error names the cause rather than the 2^22 cap
+    # GridSpec's rules reject a bad count or cutoff before the node count is
+    # worked out, and the error names the cause rather than the node limit
     for n in (-4, 100, 128):
         with pytest.raises(ValueError, match="n_points"):
-            alias_free_points(n, 10.0, 1.0)
+            GridSpec(n, 0.0, 1.0, 10.0)
     for xi_max in (0.0, -1.0):
         with pytest.raises(ValueError, match="xi_max must be > 0"):
-            alias_free_points(256, xi_max, 1.0)
+            GridSpec(256, 0.0, 1.0, xi_max)
     for xi_max, width in ((np.inf, 1.0), (np.nan, 1.0), (10.0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
-            alias_free_points(256, xi_max, width)
+            GridSpec(256, 0.0, width, xi_max)
     with pytest.raises(ValueError, match="xi_max must be > 0"):
         default_grid(gaussian_exponent(), 0.0, 1.0, n_points=256, xi_max=-1.0)
     for bad in ((-np.inf, 1.0, 10.0), (0.0, np.inf, 10.0), (0.0, 1.0, np.inf)):

@@ -149,6 +149,18 @@ def test_crashed_check_reports_instead_of_aborting(monkeypatch):
     assert "RuntimeError: synthetic failure" in r.detail
 
 
+def test_group_imports_precede_its_timer(monkeypatch):
+    # a group's first-use scipy imports are not charged to its seconds
+    events = []
+    monkeypatch.setattr(validation, "_GROUPS", (("C8", lambda: []),))
+    monkeypatch.setattr(validation.importlib, "import_module", events.append)
+    clock = validation.time.perf_counter
+    monkeypatch.setattr(validation.time, "perf_counter",
+                        lambda: events.append("timer") or clock())
+    run_all(["C8"])
+    assert events == ["scipy.interpolate", "scipy.optimize", "timer"]
+
+
 def test_reference_table_is_self_consistent():
     # The tabulated stationary variance columns must be squares of the
     # std-dev columns for the same law up to table rounding.
