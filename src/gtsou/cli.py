@@ -90,22 +90,19 @@ def _density_dispatch(law: str, p: GtsParams, c: OuConfig | None):
     import numpy as np
 
     from .cumulants import Marginal, cumulants, stationary_moments
-    from .exponents import bdlp_exponent, psi_gts, sd_exponent
+    from .exponents import bdlp_exponent
     from .levy import levy_density_bdlp, levy_density_gts, levy_density_sd
-    from .ou import increment_cumulants, increment_exponent
+    from .ou import increment_cumulants, increment_exponent, marginal_exponent
 
-    if law == "gts":
-        k = cumulants(p, 2)
-        return (lambda xi: psi_gts(xi, p), lambda x: levy_density_gts(x, p),
-                k[1], float(np.sqrt(k[2])))
+    if law in _MODES:  # a stationary marginal
+        mode = Marginal(law)
+        sm = stationary_moments(p, mode)
+        levy = levy_density_gts if mode is Marginal.GTS else levy_density_sd
+        return marginal_exponent(p, mode), lambda x: levy(x, p), sm.mean, sm.std_dev
     if law == "bdlp":
         k = cumulants(p, 2)  # time-1 driver law: kappa_k scaled by k
         return (lambda xi: bdlp_exponent(xi, p), lambda x: levy_density_bdlp(x, p),
                 k[1], float(np.sqrt(2.0 * k[2])))
-    if law == "sd":
-        sm = stationary_moments(p, Marginal.SD)
-        return (lambda xi: sd_exponent(xi, p), lambda x: levy_density_sd(x, p),
-                sm.mean, sm.std_dev)
     if law == "increment":
         k = increment_cumulants(p, c, 2)
         return (lambda xi: increment_exponent(xi, p, c), None,
@@ -124,8 +121,7 @@ def cmd_density(args) -> int:
     p = _load_params(args.params)
     c = None
     if args.law == "increment":
-        c = OuConfig(lambda_rate=args.ou_lambda, dt=args.dt,
-                     mode=Marginal(args.mode), seed=args.seed)
+        c = OuConfig(lambda_rate=args.ou_lambda, dt=args.dt, mode=Marginal(args.mode))
     exponent, levy_fn, mean, sd = _density_dispatch(args.law, p, c)
 
     g = default_grid(exponent, mean, sd, n_points=args.grid_n, span=args.span,
@@ -147,15 +143,14 @@ def cmd_density(args) -> int:
 def cmd_simulate(args) -> int:
     from .cumulants import Marginal
     from .io import write_json, write_paths_csv
-    from .ou import OuConfig, build_increment_sampler, ensemble_moments, simulate_ensemble
+    from .ou import OuConfig, ensemble_moments, simulate_ensemble
 
     p = _load_params(args.params)
     if args.n_paths < 1:
         raise ValueError("--n-paths must be >= 1")
     c = OuConfig(lambda_rate=args.ou_lambda, dt=args.dt, mode=Marginal(args.mode),
                  x0=args.x0, n_steps=args.n_steps, seed=args.seed)
-    sampler = build_increment_sampler(p, c)
-    paths = simulate_ensemble(p, c, args.n_paths, sampler)
+    paths = simulate_ensemble(p, c, args.n_paths)
     report = ensemble_moments(paths, p, c)
 
     out = _out_path(args.out, "paths.csv")
@@ -176,16 +171,11 @@ def cmd_moments(args) -> int:
     from .io import write_json
 
     p = _load_params(args.params)
-    payload = {tag: stationary_moments(p, Marginal(tag)).as_dict() for tag in _MODES}
+    tags = _MODES if args.mode == "both" else (args.mode,)
+    payload = {tag: stationary_moments(p, Marginal(tag)).as_dict() for tag in tags}
     k = cumulants(p, 4)
     payload["cumulants"] = {f"kappa{i}": k[i] for i in range(1, 5)}
-
-    if args.mode != "both":
-        selected = {args.mode: payload[args.mode], "cumulants": payload["cumulants"]}
-        payload = selected
-    for tag in _MODES:
-        if tag not in payload:
-            continue
+    for tag in tags:
         row = payload[tag]
         print(f"{tag}: mean={row['mean']:.5f} std={row['std_dev']:.5f} "
               f"skew={row['skewness']:.5f} kurt={row['kurtosis']:.5f}")
@@ -244,11 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--params", required=True, help="preset name or JSON file")
     d.add_argument("--law", choices=["gts", "bdlp", "sd", "increment"],
                    default="gts")
-    d.add_argument("--mode", choices=["gts", "sd"], default="sd",
+    d.add_argument("--mode", choices=_MODES, default="sd",
                    help="marginal for --law increment")
     d.add_argument("--ou-lambda", type=float, default=1.0)
     d.add_argument("--dt", type=float, default=1.0)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: no law's table is random")
     d.add_argument("--grid-n", type=int, default=16384,
                    help="rows of the table: exactly this many x nodes (a power of two)")
     d.add_argument("--span", type=float, default=15.0,
@@ -260,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="simulate stationary OU-type paths")
     s.add_argument("--params", required=True)
-    s.add_argument("--mode", choices=["gts", "sd"], default="sd")
+    s.add_argument("--mode", choices=_MODES, default="sd")
     s.add_argument("--ou-lambda", type=float, default=1.0)
     s.add_argument("--dt", type=float, default=1.0)
     s.add_argument("--x0", type=float, default=None,
@@ -273,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("moments", help="closed-form stationary moments")
     m.add_argument("--params", required=True)
-    m.add_argument("--mode", choices=["gts", "sd", "both"], default="both")
+    m.add_argument("--mode", choices=[*_MODES, "both"], default="both")
     m.add_argument("--out", nargs="?", const="moments.json", default=None,
                    help="also write JSON (optional path)")
     m.set_defaults(func=cmd_moments)

@@ -144,11 +144,12 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
     and the second derivative follows by the quotient rule.  Each of the 7
     first-derivative spectra is inverted (``InversionPlan.raw``) for its
     stencil values at the data and its mass.  The 28 second-derivative
-    spectra enter only through sum_i S_i d2q / (m f_i) and d2m / m, two fixed
-    linear functionals of the unclipped row, so ``InversionPlan.adjoint``
-    turns each functional into one half spectrum and every Hessian entry into
-    two dot products: 10 real FFTs per call in all.  Observations whose density
-    sits on the 1e-300 floor contribute nothing.
+    spectra enter only through sum_i S_i d2q / (m f_i) - n d2m / m (n
+    observations), one fixed linear functional of the unclipped row, so one
+    ``InversionPlan.adjoint`` turns it into one half spectrum and every
+    Hessian entry into one dot product: 9 real FFTs per call in all (the
+    density and the 7 first-derivative rows, and the adjoint).  Observations
+    whose density sits on the 1e-300 floor contribute nothing.
     """
     return _score_and_hessian(_density_at_data(data, p, g), p)
 
@@ -169,21 +170,18 @@ def _score_and_hessian(density: tuple, p: GtsParams) -> tuple:
         dm[j], du[j] = np.trapezoid(dq, plan.x), np.sum(dq[idx] * w, axis=1) / f
     grad = du.sum(axis=1) - n_obs * dm
 
-    def functional(c) -> np.ndarray:
-        """c . d2q / m for each pair (j, k): the Hessian-shaped value of the
-        weights c on the clipped second-derivative rows, valid for j <= k."""
-        a = plan.adjoint(np.where(keep, c, 0.0) / mass) * cf
-        out = np.real((first * a) @ first.T)
-        for (j, k), s in second.items():  # j <= k
-            out[j, k] += np.real(a @ s)
-        return out
-
+    # sum_i S_i d2q / f_i - n_obs d2m for each pair j <= k, with d2q the clipped
+    # second-derivative rows over m: both terms are linear in their weights on
+    # d2q, so one adjoint of the summed weights c gives them together
     h = 0.5 * np.diff(plan.x)
     trapezoid = np.append(h, 0.0) + np.insert(h, 0, 0.0)
-    d2u = functional(np.bincount(idx.ravel(), (w / f[:, None]).ravel(),
-                                 minlength=plan.x.size))
-    d2m = functional(trapezoid)
-    hess = d2u - du @ du.T - n_obs * (d2m - np.outer(dm, dm))
+    c = np.bincount(idx.ravel(), (w / f[:, None]).ravel(),
+                    minlength=plan.x.size) - n_obs * trapezoid
+    a = plan.adjoint(np.where(keep, c, 0.0) / mass) * cf
+    d2 = np.real((first * a) @ first.T)
+    for (j, k), s in second.items():  # j <= k
+        d2[j, k] += np.real(a @ s)
+    hess = d2 - du @ du.T + n_obs * np.outer(dm, dm)
     return grad, np.triu(hess) + np.triu(hess, 1).T
 
 
@@ -204,8 +202,9 @@ def moment_matched_init(data) -> GtsParams:
     (lambda+ = lambda-), which makes kappa_2..kappa_4 solvable in closed form
     for (alpha+, alpha-, lambda); mu then matches kappa_1.  Negative
     side-intensity solutions are floored at 5% of the total intensity.
+    ValueError unless the data are finite and non-empty.
     """
-    data = np.asarray(data, dtype=float)
+    data = _check_data(data)
     m = float(data.mean())
     c = data - m
     k2 = float(np.mean(c**2))

@@ -12,9 +12,10 @@ from scipy.special import polygamma as _polygamma
 
 from .params import PARAM_NAMES, GtsParams
 
-# Below this stability index the naive Gamma(-beta)*((lam-i*xi)^beta-lam^beta)
-# product cancels catastrophically; the expm1 form below takes over there and
-# reaches the bilateral-gamma log limit alpha*log(lam/(lam-i*xi)) at beta = 0.
+# sd_exponent_unit_form's switch to its log branch: below this stability index
+# its integrand Gamma(-beta)*((lam-i*xi*u)^beta-lam^beta)/u cancels
+# catastrophically, so it integrates the beta = 0 limit
+# -alpha*log(1-i*xi*u/lam)/u instead.
 BETA_LOG_BRANCH = 1e-6
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)

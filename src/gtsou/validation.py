@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import importlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gamma
 
 import numpy as np
@@ -22,7 +22,7 @@ from .exponents import psi_gts, psi_one_sided, sd_exponent, sd_exponent_unit_for
 from .frft import frft, phase_mod2
 from .inversion import GridSpec, default_grid, default_xi_max, invert_cf
 from .levy import levy_density_sd
-from .ou import OuConfig, build_increment_sampler, empirical_moments, sample_marginal, simulate_path
+from .ou import OuConfig, empirical_moments, sample_marginal, simulate_path
 from .params import CRYPTO_PARAMS, EQUITY_PARAMS, PRESETS, GtsParams  # noqa: F401 (re-exported)
 
 # Frozen reference indicators for the two presets: stationary mean, the two
@@ -46,27 +46,25 @@ class CheckResult:
     description: str
     passed: bool
     detail: str
-    seconds: float
+    seconds: float = 0.0  # set by run_all: the time of the whole group
 
 
 def _clause(text: str, ok: bool) -> tuple:
     return (f"{text} [{'ok' if ok else 'FAIL'}]", ok)
 
 
-def _result(check_id, description, clauses, seconds) -> CheckResult:
+def _result(check_id, description, clauses) -> CheckResult:
     return CheckResult(
         check_id=check_id,
         description=description,
         passed=all(ok for _, ok in clauses),
         detail="; ".join(text for text, _ in clauses),
-        seconds=seconds,
     )
 
 
 # --- C1 -------------------------------------------------------------------
 
 def check_mean_cumulant(cumulants_fn=cumulants) -> list:
-    t0 = time.perf_counter()
     clauses = []
     for name, p in PRESETS.items():
         k1 = cumulants_fn(p, 1)[1]
@@ -74,13 +72,12 @@ def check_mean_cumulant(cumulants_fn=cumulants) -> list:
         clauses.append(_clause(f"kappa1({name})={k1:.6f} ref {ref}+-2e-4",
                                abs(k1 - ref) <= 2e-4))
     return [_result("C1", "first cumulant reproduces the reference means",
-                    clauses, time.perf_counter() - t0)]
+                    clauses)]
 
 
 # --- C2 -------------------------------------------------------------------
 
 def check_shape_indicators(moments_fn=stationary_moments) -> list:
-    t0 = time.perf_counter()
     core, crypto_kurt = [], []
     for name, p in PRESETS.items():
         ref = REFERENCE[name]
@@ -93,18 +90,16 @@ def check_shape_indicators(moments_fn=stationary_moments) -> list:
                 f"kurt({name},{tag})={sm.kurtosis:.6f} ref {ref['kurt']}+-2e-3",
                 abs(sm.kurtosis - ref["kurt"]) <= 2e-3)
             (crypto_kurt if name == "crypto" else core).append(kc)
-    dt = time.perf_counter() - t0
     return [
         _result("C2a", "skewness (both marginals, both presets) and equity "
-                       "kurtosis reproduce the references", core, dt),
-        _result("C2b", "crypto kurtosis reproduces the reference", crypto_kurt, dt),
+                       "kurtosis reproduce the references", core),
+        _result("C2b", "crypto kurtosis reproduces the reference", crypto_kurt),
     ]
 
 
 # --- C3 -------------------------------------------------------------------
 
 def check_std_dev_columns(moments_fn=stationary_moments) -> list:
-    t0 = time.perf_counter()
     clauses = []
     for name, p in PRESETS.items():
         tol = 2e-3 if name == "equity" else 5e-3
@@ -115,13 +110,12 @@ def check_std_dev_columns(moments_fn=stationary_moments) -> list:
                 f"std({name},{tag})={sd:.6f} ref {ref['std_' + tag]}+-{tol:g}",
                 abs(sd - ref["std_" + tag]) <= tol))
     return [_result("C3", "stationary standard deviations reproduce the references",
-                    clauses, time.perf_counter() - t0)]
+                    clauses)]
 
 
 # --- C4 -------------------------------------------------------------------
 
 def check_exponent_identities() -> list:
-    t0 = time.perf_counter()
     grid = np.linspace(-10.0, 10.0, 201)
     nz = grid[grid != 0.0]
     clauses = []
@@ -170,7 +164,7 @@ def check_exponent_identities() -> list:
                            beta0_worst <= 1e-6))
 
     return [_result("C4", "characteristic-exponent identities on a 201-point "
-                          "frequency grid", clauses, time.perf_counter() - t0)]
+                          "frequency grid", clauses)]
 
 
 # --- C5 -------------------------------------------------------------------
@@ -216,7 +210,6 @@ def check_sd_density_asymptotics(density_fn=levy_density_sd) -> list:
     number of terms and the bound the first omitted term puts on
     |ratio - 1|; the tolerance is 1%.
     """
-    t0 = time.perf_counter()
     clauses = []
     for name, p in PRESETS.items():
         for side, (sgn, beta, alpha, lam) in zip(("plus", "minus"), p.sides()):
@@ -232,14 +225,12 @@ def check_sd_density_asymptotics(density_fn=levy_density_sd) -> list:
                 f"x->inf {name}/{side}", density_fn(sgn * x, p) / form, terms,
                 omitted / series))
     return [_result("C5", "SD Levy-density small- and large-x expansions at the "
-                          "fixed probe points x=1e-6 and x=50", clauses,
-                    time.perf_counter() - t0)]
+                          "fixed probe points x=1e-6 and x=50", clauses)]
 
 
 # --- C6 -------------------------------------------------------------------
 
 def check_inversion_fidelity() -> list:
-    t0 = time.perf_counter()
     clauses = []
 
     m, s = 0.35, 1.3
@@ -259,7 +250,7 @@ def check_inversion_fidelity() -> list:
         clauses.append(_clause(f"grid moments({name}) worst rel dev={worst:.2e} tol 1e-3",
                                worst <= 1e-3))
     return [_result("C6", "inversion fidelity: Gaussian closed form and grid "
-                          "moments vs cumulants", clauses, time.perf_counter() - t0)]
+                          "moments vs cumulants", clauses)]
 
 
 # --- C7 -------------------------------------------------------------------
@@ -281,18 +272,16 @@ def check_simulation_convergence(path_fn=simulate_path) -> list:
     other indicators take the across-seed spread over sqrt(50).  The trend
     clause asks the median worst relative error to be nonincreasing in n.
     """
-    t0 = time.perf_counter()
     p = EQUITY_PARAMS
     c = OuConfig(lambda_rate=1.0, dt=1.0, mode=Marginal.SD, x0=None,
                  n_steps=SIZES[-1], seed=0)
-    sampler = build_increment_sampler(p, c)
     sm = stationary_moments(p, Marginal.SD)
     exact = {"mean": sm.mean, "std_dev": sm.std_dev,
              "skewness": sm.skewness, "kurtosis": sm.kurtosis}
 
     values = {n: {key: [] for key in exact} for n in SIZES}
     for seed in range(SEED_COUNT):
-        path = path_fn(p, c, sampler, rng=np.random.default_rng(seed))
+        path = path_fn(p, c, rng=np.random.default_rng(seed))
         for n in SIZES:
             emp = empirical_moments(path.x[: n + 1])
             for key in exact:
@@ -314,23 +303,21 @@ def check_simulation_convergence(path_fn=simulate_path) -> list:
         med.append(float(np.median(np.max(rel, axis=0))))
     trend_ok = all(med[i + 1] <= med[i] + 1e-12 for i in range(len(med) - 1))
 
-    dt = time.perf_counter() - t0
     a_clauses = [bias_clause(key) for key in ("std_dev", "skewness", "kurtosis")]
     a_clauses.append(_clause("median max-rel-error over sizes "
                              + "->".join(f"{v:.3f}" for v in med) + " nonincreasing",
                              trend_ok))
     return [
         _result("C7a", "path std/skew/kurt: 50-seed averages unbiased within 4 "
-                       "standard errors, and median error trend over sizes", a_clauses, dt),
+                       "standard errors, and median error trend over sizes", a_clauses),
         _result("C7b", "path mean: 50-seed average unbiased within 4 standard errors",
-                [bias_clause("mean")], dt),
+                [bias_clause("mean")]),
     ]
 
 
 # --- C8 -------------------------------------------------------------------
 
 def check_mle_round_trip() -> list:
-    t0 = time.perf_counter()
     p_true = EQUITY_PARAMS
     # At n=5000 the small-jump decomposition (beta, alpha, lambda) is weakly
     # identified and roughly half of all samples place the likelihood maximum
@@ -359,13 +346,12 @@ def check_mle_round_trip() -> list:
         _clause("log-likelihood nondecreasing along the trace", nondecreasing),
     ]
     return [_result("C8", "maximum-likelihood round trip on a synthetic sample "
-                          "of 5000", clauses, time.perf_counter() - t0)]
+                          "of 5000", clauses)]
 
 
 # --- C9 -------------------------------------------------------------------
 
 def check_frft_kernel() -> list:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(123)
     worst = 0.0
     for trial in range(20):
@@ -380,57 +366,54 @@ def check_frft_kernel() -> list:
     clauses = [_clause(f"max |frft - direct| over 20 trials = {worst:.2e} tol 1e-10",
                        worst <= 1e-10)]
     return [_result("C9", "fractional FFT agrees with direct quadratic summation",
-                    clauses, time.perf_counter() - t0)]
+                    clauses)]
 
 
 # --- driver -----------------------------------------------------------------
 
+# One row per group: its id, the check ids it reports, its check, and the
+# scipy submodules it loads on first use, imported before its timer starts.
 _GROUPS = (
-    ("C1", check_mean_cumulant),
-    ("C2", check_shape_indicators),
-    ("C3", check_std_dev_columns),
-    ("C4", check_exponent_identities),
-    ("C5", check_sd_density_asymptotics),
-    ("C6", check_inversion_fidelity),
-    ("C7", check_simulation_convergence),
-    ("C8", check_mle_round_trip),
-    ("C9", check_frft_kernel),
+    ("C1", ("C1",), check_mean_cumulant, ()),
+    ("C2", ("C2a", "C2b"), check_shape_indicators, ()),
+    ("C3", ("C3",), check_std_dev_columns, ()),
+    ("C4", ("C4",), check_exponent_identities, ("scipy.integrate",)),
+    ("C5", ("C5",), check_sd_density_asymptotics, ()),
+    ("C6", ("C6",), check_inversion_fidelity, ()),
+    ("C7", ("C7a", "C7b"), check_simulation_convergence, ("scipy.signal",)),
+    ("C8", ("C8",), check_mle_round_trip, ("scipy.interpolate", "scipy.optimize")),
+    ("C9", ("C9",), check_frft_kernel, ()),
 )
 
-ALL_CHECK_IDS = ("C1", "C2a", "C2b", "C3", "C4", "C5", "C6", "C7a", "C7b", "C8", "C9")
-
-# scipy submodules a group loads on first use, imported before its timer starts
-_LAZY_IMPORTS = {"C4": ("scipy.integrate",), "C7": ("scipy.signal",),
-                 "C8": ("scipy.interpolate", "scipy.optimize")}
+ALL_CHECK_IDS = tuple(check_id for _, check_ids, _, _ in _GROUPS for check_id in check_ids)
 
 
 def run_all(ids=None) -> list:
     """Run every check (or those whose ID matches one in ``ids``).
 
     A requested ID selects its whole group: asking for C2b also computes C2a,
-    since they share one evaluation pass.
+    since they share one evaluation pass.  A result's seconds are its
+    group's: the time of the whole group (or of its crash), after the
+    group's first-use scipy imports.
     """
     if ids is not None:
         wanted = {i.upper() for i in ids}
-        known = {i.upper() for i in ALL_CHECK_IDS} | {g for g, _ in _GROUPS}
+        known = {i.upper() for i in ALL_CHECK_IDS} | {row[0] for row in _GROUPS}
         unknown = wanted - known
         if unknown:
             raise ValueError(f"unknown check ids: {sorted(unknown)}")
     results = []
-    for group_id, runner in _GROUPS:
+    for group_id, _, runner, modules in _GROUPS:
         if ids is not None and not any(w.startswith(group_id) for w in wanted):
             continue
-        for module in _LAZY_IMPORTS.get(group_id, ()):
+        for module in modules:
             importlib.import_module(module)
         t0 = time.perf_counter()
         try:
-            results.extend(runner())
+            group = runner()
         except Exception as exc:  # a crashed check must report, not abort the run
-            results.append(CheckResult(
-                check_id=group_id,
-                description="check aborted by exception",
-                passed=False,
-                detail=f"{type(exc).__name__}: {exc}",
-                seconds=time.perf_counter() - t0,
-            ))
+            group = [CheckResult(group_id, "check aborted by exception", False,
+                                 f"{type(exc).__name__}: {exc}")]
+        seconds = time.perf_counter() - t0
+        results.extend(replace(r, seconds=seconds) for r in group)
     return results

@@ -148,6 +148,14 @@ def test_moments_single_mode(tmp_path, monkeypatch, capsys):
     assert "gts:" in out and "sd:" not in out
 
 
+def test_moments_single_mode_json_keys(tmp_path, monkeypatch, capsys):
+    code, out, _ = run_cli(["moments", "--params", "equity", "--mode", "sd", "--out"],
+                           tmp_path, monkeypatch, capsys)
+    assert code == 0
+    payload = json.loads((tmp_path / "moments.json").read_text())
+    assert list(payload) == ["sd", "cumulants"]
+
+
 def test_moments_unknown_params(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["moments", "--params", "nope"],
                              tmp_path, monkeypatch, capsys)
@@ -228,6 +236,30 @@ def test_density_refuses_too_many_frequency_nodes(tmp_path, monkeypatch, capsys)
     assert code == 1
     assert "K = 2958811 frequency nodes" in err and "more than 2^21" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("law", ["gts", "sd"])
+def test_density_degenerate_marginal_names_the_cause(law, tmp_path, monkeypatch, capsys):
+    # with no jumps the marginal has zero variance, which is said before any
+    # frequency cutoff is searched for
+    path = tmp_path / "degenerate.json"
+    EQUITY_PARAMS.replace(alpha_plus=0.0, alpha_minus=0.0).save(path)
+    code, _, err = run_cli(["density", "--params", str(path), "--law", law],
+                           tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert "degenerate parameters: zero variance" in err
+
+
+def test_density_seed_is_ignored(tmp_path, monkeypatch, capsys):
+    tables = []
+    for seed in ("0", "5"):
+        code, _, err = run_cli(["density", "--params", "equity", "--law", "increment",
+                                "--grid-n", "1024", "--seed", seed, "--out", f"s{seed}.csv"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 0, err
+        tables.append([(tmp_path / f"s{seed}{suffix}").read_bytes()
+                       for suffix in (".csv", "_exponent.csv")])
+    assert tables[0] == tables[1]
 
 
 def test_density_increment_law(tmp_path, monkeypatch, capsys):

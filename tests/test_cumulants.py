@@ -171,3 +171,16 @@ def test_moment_matched_init_light_tailed_fallback():
 def test_zero_variance_sample_rejected():
     with pytest.raises(ValueError):
         moment_matched_init(np.full(100, 2.5))
+
+
+@pytest.mark.filterwarnings("error")
+def test_moment_matched_init_rejects_empty_data():
+    # refused by name before any sample mean is taken
+    with pytest.raises(ValueError, match="data must be non-empty"):
+        moment_matched_init([])
+
+
+@pytest.mark.filterwarnings("error")
+def test_moment_matched_init_rejects_non_finite_data():
+    with pytest.raises(ValueError, match="data must be finite"):
+        moment_matched_init([1.0, np.inf, 2.0])

@@ -165,9 +165,9 @@ def test_adjoint_hessian_matches_streamed_rows(sample, p, outlier, request):
     assert np.array_equal(hess, hess.T)
 
 
-def test_score_and_hessian_runs_ten_transforms(equity_sample, monkeypatch):
-    # the density and the 7 first-derivative rows (irfft), and the 2 adjoints
-    # (rfft)
+def test_score_and_hessian_runs_nine_transforms(equity_sample, monkeypatch):
+    # the density and the 7 first-derivative rows (irfft), and one adjoint
+    # (rfft) for the whole Hessian
     data, g = equity_sample
     plan = InversionPlan(g)
     calls = []
@@ -176,7 +176,7 @@ def test_score_and_hessian_runs_ten_transforms(equity_sample, monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *args, f=original, name=name, **kw:
                             calls.append(name) or f(*args, **kw))
     score_and_hessian(data, EQUITY_PARAMS, plan)
-    assert calls.count("irfft") == 8 and calls.count("rfft") == 2
+    assert calls.count("irfft") == 8 and calls.count("rfft") == 1
 
 
 def test_log_likelihood_plan_reuse_is_bit_identical():

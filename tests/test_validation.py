@@ -2,7 +2,7 @@
 
 These exercise the reporting machinery -- ID selection, clause formatting,
 mutation sensitivity, crash capture -- using the cheap check groups; the C7
-mutation tests each build one SD increment sampler.
+mutation tests each simulate the check's 50 SD paths.
 The full battery at its stated tolerances runs in test_acceptance.py.
 """
 
@@ -142,7 +142,7 @@ def test_crashed_check_reports_instead_of_aborting(monkeypatch):
     def boom():
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(validation, "_GROUPS", (("C1", boom),))
+    monkeypatch.setattr(validation, "_GROUPS", (("C1", ("C1",), boom, ()),))
     (r,) = run_all(["C1"])
     assert not r.passed
     assert r.check_id == "C1"
@@ -152,13 +152,23 @@ def test_crashed_check_reports_instead_of_aborting(monkeypatch):
 def test_group_imports_precede_its_timer(monkeypatch):
     # a group's first-use scipy imports are not charged to its seconds
     events = []
-    monkeypatch.setattr(validation, "_GROUPS", (("C8", lambda: []),))
+    group_id, check_ids, _, modules = validation._GROUPS[7]
+    assert group_id == "C8"
+    monkeypatch.setattr(validation, "_GROUPS", ((group_id, check_ids, lambda: [], modules),))
     monkeypatch.setattr(validation.importlib, "import_module", events.append)
     clock = validation.time.perf_counter
     monkeypatch.setattr(validation.time, "perf_counter",
                         lambda: events.append("timer") or clock())
     run_all(["C8"])
-    assert events == ["scipy.interpolate", "scipy.optimize", "timer"]
+    assert events == ["scipy.interpolate", "scipy.optimize", "timer", "timer"]
+
+
+def test_run_all_is_the_only_clock():
+    # a check called directly carries no time; run_all gives every result of
+    # a group that group's time
+    assert all(r.seconds == 0.0 for r in validation.check_shape_indicators())
+    c2a, c2b = run_all(["C2"])
+    assert c2a.seconds == c2b.seconds > 0.0
 
 
 def test_reference_table_is_self_consistent():
