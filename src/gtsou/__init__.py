@@ -34,7 +34,7 @@ _SOURCES = {
            "build_increment_sampler", "burn_in_length", "empirical_moments",
            "ensemble_moments", "increment_cumulants", "increment_exponent",
            "marginal_exponent", "path_moments", "sample_marginal",
-           "simulate_ensemble", "simulate_path"),
+           "simulate_ensemble", "simulate_path", "simulate_paths"),
     "params": ("CRYPTO_PARAMS", "EQUITY_PARAMS", "PARAM_NAMES", "PRESETS",
                "GtsParams"),
     "special": ("lower_incomplete_gamma", "upper_incomplete_gamma"),

@@ -19,8 +19,8 @@ if TYPE_CHECKING:
     from .params import GtsParams
 
 # Each subcommand imports what it uses when it runs: --help loads no scipy, and
-# moments and density load none of scipy.optimize, scipy.interpolate,
-# scipy.integrate and scipy.signal.
+# moments, density and simulate load none of scipy.optimize, scipy.interpolate
+# and scipy.integrate.  No subcommand loads scipy.signal.
 _MODES = ("gts", "sd")
 
 
@@ -123,6 +123,8 @@ def cmd_density(args) -> int:
     if args.law == "increment":
         c = OuConfig(lambda_rate=args.ou_lambda, dt=args.dt, mode=Marginal(args.mode))
     exponent, levy_fn, mean, sd = _density_dispatch(args.law, p, c)
+    if not sd > 0.0:  # no jumps: searching a frequency cutoff would run to 1e7
+        raise ValueError("degenerate parameters: zero variance")
 
     g = default_grid(exponent, mean, sd, n_points=args.grid_n, span=args.span,
                      xi_max=args.xi_max)

@@ -244,37 +244,52 @@ def _start_steps(c: OuConfig) -> int:
     return max(1, ceil(_MAX_SPAN / total))
 
 
-def simulate_path(p: GtsParams, c: OuConfig,
-                  sampler: IncrementSampler | None = None,
-                  rng: np.random.Generator | None = None) -> SamplePath:
-    """Run X_i = a X_{i-1} + y_i for n_steps exact draws.
+def simulate_paths(p: GtsParams, c: OuConfig, rngs,
+                   sampler: IncrementSampler | None = None) -> list:
+    """One path per generator in ``rngs``: X_i = a X_{i-1} + y_i for n_steps
+    exact draws, each path's draws read from its own generator alone.
 
     A stationary start runs the chain from mu through ``_start_steps(c)``
-    more exact draws and keeps the last n_steps + 1 values.  The recursion
-    is evaluated as a linear filter, so the whole path costs O(n) after the
-    draws.  With rng omitted, the stream is seeded from the config; passing
-    an explicit generator supports ensemble spawning.
+    more exact draws and keeps the last n_steps + 1 values.  The draws are
+    stacked as (steps, paths) and summed in place, one row at a time, as
+    w[0] = y[0], w[i] = a w[i-1] + y[i]; then x[1:] = a^k x0 + w.
     """
     if sampler is None:
         sampler = build_increment_sampler(p, c)
     if sampler.config != c or sampler.params != p:
         raise ValueError("sampler was built for a different (params, config)")
-    from scipy.signal import lfilter  # here, not at import: scipy.signal takes ~0.9 s to load
-
-    if rng is None:
-        rng = np.random.default_rng(c.seed)
 
     m = _start_steps(c) if c.stationary_start else 0
     x0 = p.mu if c.stationary_start else float(c.x0)
     n = m + c.n_steps
-    y = sampler.draw(rng, n)
+    w = np.empty((n, len(rngs)))
+    for j, rng in enumerate(rngs):
+        w[:, j] = sampler.draw(rng, n)
 
     a = c.a
-    w = lfilter([1.0], [1.0, -a], y)  # w[i] = sum_{j<=i} a^(i-j) y[j]
-    x = np.empty(n + 1)
-    x[0] = x0
-    x[1:] = a ** np.arange(1, n + 1) * x0 + w
-    return SamplePath(x[m:].copy(), c, c.stationary_start)
+    damped = np.empty(len(rngs))
+    for prev, row in zip(w, w[1:]):
+        np.multiply(prev, a, out=damped)
+        np.add(row, damped, out=row)
+
+    decayed_start = a ** np.arange(1, n + 1) * x0
+    paths = []
+    for column in w.T:
+        x = np.empty(n + 1)
+        x[0] = x0
+        np.add(decayed_start, column, out=x[1:])
+        paths.append(SamplePath(x[m:].copy(), c, c.stationary_start))
+    return paths
+
+
+def simulate_path(p: GtsParams, c: OuConfig,
+                  sampler: IncrementSampler | None = None,
+                  rng: np.random.Generator | None = None) -> SamplePath:
+    """``simulate_paths`` of one generator; with rng omitted, the stream is
+    seeded from the config."""
+    if rng is None:
+        rng = np.random.default_rng(c.seed)
+    return simulate_paths(p, c, [rng], sampler)[0]
 
 
 def simulate_ensemble(p: GtsParams, c: OuConfig, n_paths: int,
@@ -283,10 +298,8 @@ def simulate_ensemble(p: GtsParams, c: OuConfig, n_paths: int,
     config seed, so the ensemble is reproducible and order-independent."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if sampler is None:
-        sampler = build_increment_sampler(p, c)
     streams = np.random.SeedSequence(c.seed).spawn(n_paths)
-    return [simulate_path(p, c, sampler, rng=np.random.default_rng(s)) for s in streams]
+    return simulate_paths(p, c, [np.random.default_rng(s) for s in streams], sampler)
 
 
 def empirical_moments(values) -> dict:

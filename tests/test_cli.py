@@ -238,9 +238,9 @@ def test_density_refuses_too_many_frequency_nodes(tmp_path, monkeypatch, capsys)
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("law", ["gts", "sd"])
+@pytest.mark.parametrize("law", ["gts", "sd", "bdlp", "increment"])
 def test_density_degenerate_marginal_names_the_cause(law, tmp_path, monkeypatch, capsys):
-    # with no jumps the marginal has zero variance, which is said before any
+    # with no jumps every law has zero variance, which is said before any
     # frequency cutoff is searched for
     path = tmp_path / "degenerate.json"
     EQUITY_PARAMS.replace(alpha_plus=0.0, alpha_minus=0.0).save(path)
@@ -425,8 +425,8 @@ def test_module_entry_point():
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal (and the scipy.stats it pulls in) load only when a path is
-    # simulated
+    # no route of the package uses scipy.signal, nor the scipy.stats it would
+    # pull in
     proc = _run_child("-c", "import sys, gtsou; "
                             "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
@@ -465,6 +465,16 @@ def test_validate_c1_loads_no_heavy_scipy():
     loaded = _scipy_loaded_after("from gtsou.cli import main\n"
                                  "assert main(['validate', '--ids', 'C1']) == 0")
     assert _HEAVY.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--params", "equity", "--n-steps", "500"],
+                                  ["validate", "--ids", "C7"]])
+def test_simulation_loads_no_heavy_scipy(argv, tmp_path):
+    # the path recursion is numpy: simulating loads only scipy.special
+    setup = f"import os\nos.environ['GTSOU_OUT_DIR'] = {str(tmp_path)!r}\n"
+    loaded = _scipy_loaded_after(setup + "from gtsou.cli import main\n"
+                                 f"assert main({argv!r}) == 0")
+    assert _HEAVY.isdisjoint(loaded) and "scipy.stats" not in loaded, loaded
 
 
 def test_density_loads_no_interpolant_or_optimizer(tmp_path):

@@ -27,6 +27,7 @@ from gtsou import (
     sample_marginal,
     simulate_ensemble,
     simulate_path,
+    simulate_paths,
     stationary_moments,
 )
 from gtsou.tempered import tempered_stable
@@ -191,6 +192,38 @@ def test_path_recursion_unrolled(sampler):
     # a fresh array: the path does not keep the start's m steps alive
     assert path.x.shape == (CFG.n_steps + 1,) and path.x.base is None
     assert not path.x.flags.writeable
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 50.0])
+@pytest.mark.parametrize("mode", [Marginal.GTS, Marginal.SD])
+@pytest.mark.parametrize("x0", [None, 0.7])
+def test_paths_equal_scalar_recursion(lam, mode, x0):
+    # bit for bit: each path is its own stream's draws run through the float
+    # recursion w = a w + y[k], plus a^k x0, and the first m values dropped.
+    # a^k is numpy's power, as in the path: its vector loop differs from the
+    # scalar pow by one ulp at some k
+    c = OuConfig(lambda_rate=lam, dt=1.0, mode=mode, x0=x0, n_steps=150, seed=8)
+    s = build_increment_sampler(EQUITY_PARAMS, c)
+    paths = simulate_paths(EQUITY_PARAMS, c, [np.random.default_rng(k) for k in (3, 4)], s)
+    m = ceil(37.0 / lam) if x0 is None else 0
+    start = EQUITY_PARAMS.mu if x0 is None else x0
+    decayed_start = c.a ** np.arange(1, m + c.n_steps + 1) * start
+    for seed, path in zip((3, 4), paths):
+        y = s.draw(np.random.default_rng(seed), m + c.n_steps)
+        w, expect = 0.0, [start]
+        for k in range(m + c.n_steps):
+            w = c.a * w + float(y[k])
+            expect.append(float(decayed_start[k]) + w)
+        assert np.array_equal(path.x, expect[m:])
+        assert path.stationary_start == (x0 is None)
+
+
+def test_ensemble_is_one_path_per_spawned_stream(sampler):
+    streams = np.random.SeedSequence(CFG.seed).spawn(3)
+    ensemble = simulate_ensemble(EQUITY_PARAMS, CFG, 3, sampler)
+    for stream, path in zip(streams, ensemble, strict=True):
+        single = simulate_path(EQUITY_PARAMS, CFG, sampler, rng=np.random.default_rng(stream))
+        assert np.array_equal(path.x, single.x)
 
 
 def test_zero_increments_decay_geometrically(sampler):

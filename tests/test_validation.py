@@ -18,7 +18,7 @@ from gtsou import (
     cumulants,
     levy_density_sd,
     run_all,
-    simulate_path,
+    simulate_paths,
     stationary_moments,
 )
 from gtsou import validation
@@ -108,8 +108,7 @@ def test_asymptotics_check_detects_wrong_scale_factor():
 
 def _transformed_paths(transform):
     def path_fn(*args, **kwargs):
-        path = simulate_path(*args, **kwargs)
-        return replace(path, x=transform(path.x))
+        return [replace(path, x=transform(path.x)) for path in simulate_paths(*args, **kwargs)]
 
     return path_fn
 
