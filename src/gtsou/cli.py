@@ -18,9 +18,9 @@ if TYPE_CHECKING:
     from .ou import OuConfig
     from .params import GtsParams
 
-# Each subcommand imports what it uses when it runs: --help loads no scipy, and
-# moments, density and simulate load none of scipy.optimize, scipy.interpolate
-# and scipy.integrate.  No subcommand loads scipy.signal.
+# Each subcommand imports what it uses when it runs: --help, moments, density
+# and simulate load no scipy at all, and fit loads scipy.optimize and
+# scipy.special.  No subcommand loads scipy.signal.
 _MODES = ("gts", "sd")
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .params import GtsParams
 
@@ -40,14 +40,22 @@ class Cumulants:
 
 def cumulants(p: GtsParams, K: int = 4) -> Cumulants:
     """kappa_1 = mu + a+ G(1-b+)/l+^(1-b+) - a- G(1-b-)/l-^(1-b-);
-    kappa_k = a+ G(k-b+)/l+^(k-b+) + (-1)^k a- G(k-b-)/l-^(k-b-) for k >= 2."""
+    kappa_k = a+ G(k-b+)/l+^(k-b+) + (-1)^k a- G(k-b-)/l-^(k-b-) for k >= 2.
+
+    ValueError, naming K, once G(K-b) overflows a double (K >= 172 at
+    b < 0.376, K >= 173 at any b)."""
     if K < 1:
         raise ValueError("K must be >= 1")
     out = []
     for k in range(1, K + 1):
         total = p.mu if k == 1 else 0.0
         for sign, beta, alpha, lam in p.sides():
-            total += sign**k * alpha * _gamma(k - beta) / lam ** (k - beta)
+            try:
+                g = gamma(k - beta)
+            except OverflowError:
+                raise ValueError(f"cumulants up to K={K} need Gamma({k - beta:g}), "
+                                 "which overflows a double") from None
+            total += sign**k * alpha * g / lam ** (k - beta)
         out.append(total)
     return Cumulants(tuple(out))
 

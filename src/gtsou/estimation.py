@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import gamma
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .cumulants import cumulants
 from .exponents import psi_gts, psi_gts_derivatives
@@ -216,12 +216,12 @@ def moment_matched_init(data) -> GtsParams:
         k4 = 0.5 * k2**2  # light-tailed sample; pick a mild heavy-tail prior
     beta = 0.5
     lam = float(np.sqrt((2.5 * 1.5) * k2 / k4))
-    a_sum = k2 * lam ** (2.0 - beta) / _gamma(2.0 - beta)
-    a_diff = k3 * lam ** (3.0 - beta) / _gamma(3.0 - beta)
+    a_sum = k2 * lam ** (2.0 - beta) / gamma(2.0 - beta)
+    a_diff = k3 * lam ** (3.0 - beta) / gamma(3.0 - beta)
     floor = 0.05 * a_sum
     a_plus = max(0.5 * (a_sum + a_diff), floor)
     a_minus = max(0.5 * (a_sum - a_diff), floor)
-    mu = m - (a_plus - a_minus) * _gamma(1.0 - beta) / lam ** (1.0 - beta)
+    mu = m - (a_plus - a_minus) * gamma(1.0 - beta) / lam ** (1.0 - beta)
     return GtsParams(mu, beta, beta, a_plus, a_minus, lam, lam)
 
 

@@ -3,12 +3,9 @@ and the self-decomposable law that a GTS driver generates."""
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, gamma
 
 import numpy as np
-from scipy.special import digamma as _digamma
-from scipy.special import gamma as _gamma
-from scipy.special import polygamma as _polygamma
 
 from .params import PARAM_NAMES, GtsParams
 
@@ -24,6 +21,19 @@ _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _SD_BLOCK = 2**14
 # Absolute error target of sd_exponent_unit_form's adaptive quadrature
 _UNIT_FORM_TOL = 1e-10
+# Panels per block of sd_exponent's running sum
+_SUM_BLOCK = 64
+
+
+def _running_sum(v: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of v in blocks of ``_SUM_BLOCK``: a cumsum
+    within each block plus the running sum of the block totals.  Over n
+    terms each sum carries about (64 + n/64) roundings instead of n."""
+    pad = np.zeros((-v.size) % _SUM_BLOCK, dtype=v.dtype)
+    within = np.cumsum(np.concatenate((v, pad)).reshape(-1, _SUM_BLOCK), axis=1)
+    offsets = np.cumsum(within[:-1, -1])
+    within[1:] += offsets[:, None]
+    return within.ravel()[:v.size]
 
 
 def _as_array(xi):
@@ -70,7 +80,7 @@ def psi_one_sided(xi, beta: float, alpha: float, lam: float):
     if beta == 0.0:
         out = -alpha * log_ratio
     else:
-        out = (-alpha * _gamma(1.0 - beta) * lam**beta / beta) \
+        out = (-alpha * gamma(1.0 - beta) * lam**beta / beta) \
             * _cexpm1(beta * log_ratio)
     return complex(out) if scalar else out
 
@@ -119,27 +129,29 @@ def psi_one_sided_derivatives(xi, beta: float, alpha: float, lam: float) -> tupl
     d/dalpha, d/dlam; ``second`` maps local index pairs (0 = beta,
     1 = alpha, 2 = lam) to the nonzero second derivatives (d2/dalpha2 is 0).
     """
+    from scipy.special import digamma, polygamma  # only a fit needs these
+
     x = np.asarray(xi, dtype=float)
     log_ratio = np.log((lam - 1j * x) / lam)
     i0, i1, i2 = _expm1_moments(beta * log_ratio)
     b0 = log_ratio * i0
     b1 = log_ratio**2 * i1
     b2 = log_ratio**3 * i2
-    a = _gamma(1.0 - beta) * lam**beta
-    a1 = np.log(lam) - _digamma(1.0 - beta)  # d log A / dbeta
-    a2 = _polygamma(1, 1.0 - beta)  # d2 log A / dbeta2
+    a = gamma(1.0 - beta) * lam**beta
+    a1 = np.log(lam) - digamma(1.0 - beta)  # d log A / dbeta
+    a2 = polygamma(1, 1.0 - beta)  # d2 log A / dbeta2
     d_alpha_beta = -a * (a1 * b0 + b1)
     em1 = _cexpm1((beta - 1.0) * log_ratio)
-    d_alpha_lam = -_gamma(1.0 - beta) * lam ** (beta - 1.0) * em1
+    d_alpha_lam = -gamma(1.0 - beta) * lam ** (beta - 1.0) * em1
     first = (alpha * d_alpha_beta, -a * b0, alpha * d_alpha_lam)
     second = {
         (0, 0): -alpha * a * ((a1 * a1 + a2) * b0 + 2.0 * a1 * b1 + b2),
         (0, 1): d_alpha_beta,
         (0, 2): alpha * d_alpha_lam * a1
-        - alpha * _gamma(1.0 - beta) * lam ** (beta - 1.0)
+        - alpha * gamma(1.0 - beta) * lam ** (beta - 1.0)
         * log_ratio * np.exp((beta - 1.0) * log_ratio),
         (1, 2): d_alpha_lam,
-        (2, 2): alpha * _gamma(2.0 - beta) * lam ** (beta - 2.0)
+        (2, 2): alpha * gamma(2.0 - beta) * lam ** (beta - 2.0)
         * _cexpm1((beta - 2.0) * log_ratio),
     }
     return first, second
@@ -177,7 +189,7 @@ def psi_gts(xi, p: GtsParams):
 
 def _bdlp_one_sided(y, beta, alpha, lam):
     iy = 1j * np.asarray(y)  # numpy's complex power for scalar y too
-    return alpha * _gamma(1.0 - beta) * iy / (lam - iy) ** (1.0 - beta)
+    return alpha * gamma(1.0 - beta) * iy / (lam - iy) ** (1.0 - beta)
 
 
 def bdlp_exponent(xi, p: GtsParams):
@@ -233,7 +245,7 @@ def sd_exponent(xi, p: GtsParams):
         u = mid[b, None] + half[b, None] * _GL8_NODES[None, :]
         vals = psi_gts(u.ravel(), p).reshape(u.shape) / u
         panel[b] = (vals * _GL8_WEIGHTS[None, :]).sum(axis=1) * half[b]
-    gamma_edges = np.cumsum(panel)  # gamma at edges[1:]
+    gamma_edges = _running_sum(panel)  # gamma at edges[1:]
     filled = gamma_edges[np.searchsorted(edges, mag[nonzero]) - 1]
     out[nonzero] = np.where(x[nonzero] < 0.0, np.conj(filled), filled)
     return complex(out) if scalar else out
@@ -262,7 +274,9 @@ def sd_exponent_unit_form(xi, p: GtsParams):
                 return -alpha * np.log((lam - 1j * x * u) / lam) / u
 
         else:
-            c = alpha * _gamma(-beta)
+            # reached only for beta >= BETA_LOG_BRANCH = 1e-6, clear of the
+            # pole at 0 where math.gamma raises
+            c = alpha * gamma(-beta)
 
             def f(u):
                 if u == 0.0:

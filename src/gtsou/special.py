@@ -3,16 +3,35 @@ densities need."""
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
-from scipy import special as sc
+
+
+def _zeta_over_k() -> np.ndarray:
+    """zeta(k)/k for k = 2..60 by Euler-Maclaurin: the sum over n < 10, the
+    tail integral and half end term at N = 10, and the Bernoulli corrections
+    B_2..B_14, smallest terms first (within 2.3e-16 of 40-digit mpmath)."""
+    k = np.arange(2, 61, dtype=float)
+    head = sum(float(n) ** -k for n in range(9, 0, -1))
+    end = 10.0
+    bernoulli = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+    rise = k.copy()  # k (k+1) ... (k+2j-2)
+    corr = np.zeros_like(k)
+    for j, b in enumerate(bernoulli, start=1):
+        corr += b / factorial(2 * j) * rise * end ** (1.0 - k - 2 * j)
+        rise *= (k + 2 * j - 1) * (k + 2 * j)
+    return (head + (end ** (1.0 - k) / (k - 1.0) + 0.5 * end**-k + corr)) / k
+
 
 # zeta(k)/k, k = 2..60: log Gamma(1+s) = -euler_gamma s + sum_k zeta(k)/k (-s)^k
-_LOG_GAMMA1P = sc.zeta(np.arange(2, 61)) / np.arange(2, 61)
+_LOG_GAMMA1P = _zeta_over_k()
 
 
 def _gamma1pm1_over(s: float) -> float:
-    """(Gamma(1+s) - 1)/s for -1/2 <= s < 0, from the Taylor series of
-    log Gamma(1+s), whose terms are all positive there (truncation < 1e-17)."""
+    """(Gamma(1+s) - 1)/s for 0 < |s| <= 1/2, from the Taylor series of
+    log Gamma(1+s) (truncation < 1e-20), whose terms are all positive for
+    s < 0 and alternate for s > 0."""
     t = -s
     acc = 0.0
     for c in _LOG_GAMMA1P[::-1]:
@@ -21,7 +40,7 @@ def _gamma1pm1_over(s: float) -> float:
 
 
 def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(s, x) for -1/2 < s < 0 and 0 < x < 1/2 as
+    """Gamma(s, x) for 0 < |s| <= 1/2 and 0 < x < 1/2 as
 
         (Gamma(1+s) - 1)/s - expm1(s log x)/s - x^s sum_(n>=1) (-x)^n / (n! (n+s)),
 
@@ -66,17 +85,18 @@ def _gamma_fraction(s: float, x: np.ndarray) -> np.ndarray:
 def upper_incomplete_gamma(s: float, x):
     """Gamma(s, x) = integral_x^inf y^(s-1) e^(-y) dy for order s in (-1, 1).
 
-    scipy's regularized ``gammaincc`` covers s > 0 (continued fraction for
-    large x, series for small x), and s = 0 is the exponential integral E1.
-    For s < 0 each region has its own form, none of which loses more than a
-    few ulps to cancellation, however close s is to 0:
+    s > 0 is scipy's regularized ``gammaincc`` times Gamma(s), and s = 0 the
+    exponential integral ``exp1``; scipy is imported for these two only.
+    For s < 0 each region has its own form in numpy, none of which loses
+    more than a few ulps to cancellation, however close s is to 0:
 
     * x >= 1/2: the Legendre continued fraction (``_gamma_fraction``);
     * x < 1/2 and s > -1/2: a series whose terms stay finite as s -> 0
       (``_gamma_series``);
     * x < 1/2 and s <= -1/2: one step of the downward recurrence
-      Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s, which loses at most a
-      few ulps there.
+      Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s, with Gamma(s+1, x)
+      from the same series at 0 < s+1 <= 1/2, which loses at most a few
+      ulps there.
 
     x may be a scalar or array; the integral diverges at x = 0 for s <= 0,
     so only x > 0 is admitted.
@@ -86,10 +106,10 @@ def upper_incomplete_gamma(s: float, x):
         raise ValueError("upper_incomplete_gamma requires x > 0")
     if not -1.0 < s < 1.0:
         raise ValueError(f"order s={s:g} outside the supported interval (-1, 1)")
-    if s == 0.0:
-        out = sc.exp1(x)
-    elif s > 0.0:
-        out = sc.gammaincc(s, x) * sc.gamma(s)
+    if s >= 0.0:
+        from scipy import special as sc
+
+        out = sc.exp1(x) if s == 0.0 else sc.gammaincc(s, x) * sc.gamma(s)
     else:
         out = np.empty_like(x)
         large = x >= 0.5
@@ -98,17 +118,19 @@ def upper_incomplete_gamma(s: float, x):
         if s > -0.5:
             out[~large] = _gamma_series(s, xs)
         else:
-            out[~large] = (sc.gammaincc(s + 1.0, xs) * sc.gamma(s + 1.0)
-                           - xs**s * np.exp(-xs)) / s
+            out[~large] = (_gamma_series(s + 1.0, xs) - xs**s * np.exp(-xs)) / s
     return out if out.ndim else float(out)
 
 
 def lower_incomplete_gamma(s: float, x):
-    """gamma(s, x) = integral_0^x y^(s-1) e^(-y) dy, s > 0."""
+    """gamma(s, x) = integral_0^x y^(s-1) e^(-y) dy, s > 0: scipy's
+    regularized ``gammainc`` times Gamma(s)."""
     if s <= 0.0:
         raise ValueError("lower_incomplete_gamma requires s > 0")
     x = np.asarray(x, dtype=float)
     if x.size and np.any(x < 0.0):
         raise ValueError("lower_incomplete_gamma requires x >= 0")
+    from scipy import special as sc
+
     out = sc.gammainc(s, x) * sc.gamma(s)
     return out if out.ndim else float(out)

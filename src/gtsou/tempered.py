@@ -30,10 +30,9 @@ The variate is theta * TS = L t^(-b).
 
 from __future__ import annotations
 
-from math import ceil, exp, log, pi, sqrt
+from math import ceil, exp, gamma, log, pi, sqrt
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 # Kanter's route takes Lam <= LAMBDA0, double rejection the rest.  Kanter
 # costs about Lam e proposals per draw, double rejection a bounded number.
@@ -54,7 +53,7 @@ def tempered_stable(rng: np.random.Generator, n: int, beta: float, c: float,
         return np.zeros(n)
     if beta == 0.0:
         return rng.standard_gamma(c, n) / theta
-    lam = c * _gamma(1.0 - beta) * theta**beta / beta
+    lam = c * gamma(1.0 - beta) * theta**beta / beta
     if lam <= LAMBDA0:
         return _kanter(rng, n, beta, lam, max(1, ceil(lam))) / theta
     return _double_rejection(rng, n, beta, lam) / theta

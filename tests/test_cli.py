@@ -451,35 +451,48 @@ def test_help_loads_no_scipy():
     assert _scipy_loaded_after(code) == []
 
 
-_HEAVY = {"scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.signal"}
+# Gamma is the stdlib's and the incomplete gamma at the negative orders the
+# Levy densities use is numpy: only a fit, sd_exponent_unit_form and the
+# incomplete gammas at orders s >= 0 load scipy
 
 
-def test_moments_loads_only_scipy_special():
+def test_moments_loads_no_scipy():
     loaded = _scipy_loaded_after("from gtsou.cli import main\n"
                                  "assert main(['moments', '--params', 'equity']) == 0")
-    assert _HEAVY.isdisjoint(loaded)
+    assert loaded == []
 
 
 def test_validate_c1_loads_no_heavy_scipy():
     # run_all imports a group's scipy submodules only when that group runs
     loaded = _scipy_loaded_after("from gtsou.cli import main\n"
                                  "assert main(['validate', '--ids', 'C1']) == 0")
-    assert _HEAVY.isdisjoint(loaded)
+    assert loaded == []
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--params", "equity", "--n-steps", "500"],
-                                  ["validate", "--ids", "C7"]])
-def test_simulation_loads_no_heavy_scipy(argv, tmp_path):
-    # the path recursion is numpy: simulating loads only scipy.special
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--params", "equity", "--n-steps", "500", "--mode", "gts"],
+    ["simulate", "--params", "crypto", "--n-steps", "500", "--mode", "sd"],
+    ["validate", "--ids", "C7"],
+])
+def test_simulation_loads_no_scipy(argv, tmp_path):
     setup = f"import os\nos.environ['GTSOU_OUT_DIR'] = {str(tmp_path)!r}\n"
     loaded = _scipy_loaded_after(setup + "from gtsou.cli import main\n"
                                  f"assert main({argv!r}) == 0")
-    assert _HEAVY.isdisjoint(loaded) and "scipy.stats" not in loaded, loaded
+    assert loaded == []
 
 
-def test_density_loads_no_interpolant_or_optimizer(tmp_path):
+@pytest.mark.parametrize("law", ["gts", "bdlp", "sd", "increment"])
+def test_density_loads_no_scipy(law, tmp_path):
     out = str(tmp_path / "d.csv")
     loaded = _scipy_loaded_after("from gtsou.cli import main\n"
-                                 "assert main(['density', '--params', 'equity', "
-                                 f"'--law', 'sd', '--out', {out!r}]) == 0")
-    assert _HEAVY.isdisjoint(loaded)
+                                 "assert main(['density', '--params', 'crypto', "
+                                 f"'--law', {law!r}, '--out', {out!r}]) == 0")
+    assert loaded == []
+
+
+def test_negative_order_incomplete_gamma_loads_no_scipy():
+    # both branches at s <= -1/2: the continued fraction and the recurrence
+    # from the series at s + 1
+    loaded = _scipy_loaded_after("from gtsou import upper_incomplete_gamma\n"
+                                 "upper_incomplete_gamma(-0.68, [0.1, 1.0])")
+    assert loaded == []

@@ -93,6 +93,14 @@ def test_cumulants_indexing():
     assert isinstance(Cumulants((1.0,))[1], float)
 
 
+def test_cumulants_past_gamma_overflow_name_k():
+    # Gamma(K - beta) overflows a double once K - beta > 171.62: a typed
+    # error that names K, not an inf or nan cumulant
+    assert len(cumulants(EQUITY_PARAMS, 171)) == 171  # Gamma(171 - beta) is finite
+    with pytest.raises(ValueError, match="K=180"):
+        cumulants(EQUITY_PARAMS, 180)
+
+
 def test_mu_shifts_only_the_mean():
     base = cumulants(EQUITY_PARAMS, 4)
     shifted = cumulants(EQUITY_PARAMS.replace(mu=EQUITY_PARAMS.mu + 2.0), 4)

@@ -207,7 +207,7 @@ def test_increment_exponent_sd_matches_mpmath_at_top_frequency():
 
 
 @pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["equity", "crypto"])
-@pytest.mark.parametrize("lam", [0.1, 1.0, 5.0])
+@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0, 5.0])
 def test_increment_exponent_sd_difference_accuracy(p, lam):
     # phi(xi) - phi(a xi) against a 40-digit quadrature of its integral form,
     # at points of a 20001-point array out to the |cf| = 1e-12 cutoff, where

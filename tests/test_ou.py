@@ -40,6 +40,17 @@ def sampler():
     return build_increment_sampler(EQUITY_PARAMS, CFG)
 
 
+def test_exprel_matches_scipy():
+    from scipy.special import exprel
+
+    points = [0.0, 1e-300, -1e-300, 700.0, -700.0]
+    for x in points:
+        assert ou.exprel(x) == pytest.approx(exprel(x), rel=1e-15, abs=0.0)
+        assert isinstance(ou.exprel(x), float)
+    x = np.concatenate([points, np.linspace(-40.0, 40.0, 801), np.geomspace(1e-20, 1.0, 41)])
+    np.testing.assert_allclose(ou.exprel(x), exprel(x), rtol=1e-15, atol=0.0)
+
+
 def test_config_derived_quantities():
     assert CFG.a == pytest.approx(np.exp(-0.3), rel=1e-15)
     assert CFG.stationary_start

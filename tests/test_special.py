@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from gtsou import lower_incomplete_gamma, upper_incomplete_gamma
+from gtsou import lower_incomplete_gamma, special, upper_incomplete_gamma
 
 # (s, x, Gamma(s, x)) from mpmath at 40 digits
 UPPER_REFERENCE = [
@@ -79,6 +79,25 @@ def test_upper_gamma_negative_orders_match_mpmath():
                 ref = mp.gammainc(mp.mpf(float(s)), mp.mpf(float(x)))
                 worst = max(worst, float(abs((mp.mpf(float(value)) - ref) / ref)))
     assert worst <= 1e-13
+
+
+def test_zeta_table_matches_mpmath():
+    k = np.arange(2, 61)
+    with mp.workdps(40):
+        ref = np.array([float(mp.zeta(int(j)) / j) for j in k])
+    np.testing.assert_allclose(special._LOG_GAMMA1P, ref, rtol=1e-15, atol=0.0)
+
+
+def test_gamma1pm1_over_matches_mpmath():
+    # (Gamma(1+s) - 1)/s on both sides of s = 0, out to |s| = 1/2
+    s = np.geomspace(1e-12, 0.5, 40)
+    worst = 0.0
+    with mp.workdps(40):
+        for v in np.concatenate([s, -s]):
+            ref = (mp.gamma(1 + mp.mpf(float(v))) - 1) / mp.mpf(float(v))
+            got = special._gamma1pm1_over(float(v))
+            worst = max(worst, float(abs((got - ref) / ref)))
+    assert worst <= 1e-15
 
 
 def test_lower_plus_upper_is_complete_gamma():
