@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gamma
+from math import gamma, inf, isfinite
 
 import numpy as np
 
@@ -42,20 +42,22 @@ def cumulants(p: GtsParams, K: int = 4) -> Cumulants:
     """kappa_1 = mu + a+ G(1-b+)/l+^(1-b+) - a- G(1-b-)/l-^(1-b-);
     kappa_k = a+ G(k-b+)/l+^(k-b+) + (-1)^k a- G(k-b-)/l-^(k-b-) for k >= 2.
 
-    ValueError, naming K, once G(K-b) overflows a double (K >= 172 at
-    b < 0.376, K >= 173 at any b)."""
+    ValueError, naming K, once a cumulant up to K is not a finite double:
+    G(k-b) overflows from k - b > 171.6, and a G(k-b)/l^(k-b) earlier when
+    l < 1 (equity from K = 162, crypto from K = 130)."""
     if K < 1:
         raise ValueError("K must be >= 1")
     out = []
     for k in range(1, K + 1):
         total = p.mu if k == 1 else 0.0
-        for sign, beta, alpha, lam in p.sides():
-            try:
-                g = gamma(k - beta)
-            except OverflowError:
-                raise ValueError(f"cumulants up to K={K} need Gamma({k - beta:g}), "
-                                 "which overflows a double") from None
-            total += sign**k * alpha * g / lam ** (k - beta)
+        try:
+            for sign, beta, alpha, lam in p.sides():
+                total += sign**k * alpha * gamma(k - beta) / lam ** (k - beta)
+        except (OverflowError, ZeroDivisionError):
+            total = inf
+        if not isfinite(total):
+            raise ValueError(f"cumulants up to K={K} need kappa_{k}, "
+                             "which is not a finite double")
         out.append(total)
     return Cumulants(tuple(out))
 

@@ -76,17 +76,28 @@ def ingest(path, kind: SeriesKind) -> ReturnSeries:
     return ReturnSeries(values, source=str(path))
 
 
-def _write_table(path, header, row_fmt: str, rows) -> None:
-    """Header plus one ``row_fmt % row`` line per row, with the ``\\r\\n``
-    terminators and unquoted cells that ``csv.writer`` gives these tables."""
+_BLOCK_ROWS = 1024
+
+
+def _write_table(path, header, row_fmt: str, columns) -> None:
+    """Header plus one ``row_fmt % row`` line per row, row i holding the i-th
+    entry of each of the equal-length ``columns`` (lists or ranges), with the
+    ``\\r\\n`` terminators and unquoted cells that ``csv.writer`` gives these
+    tables.  ``_BLOCK_ROWS`` rows at a time are interleaved into one tuple and
+    formatted by one ``%``."""
+    n, width = len(columns[0]), len(columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row_fmt % row for row in rows)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - start)
+            cells = [None] * (rows * width)
+            for k, column in enumerate(columns):
+                cells[k::width] = column[start:start + rows]
+            fh.write((row_fmt * rows) % tuple(cells))
 
 
 def emit_series(path, series: ReturnSeries) -> None:
-    _write_table(path, ["return"], "%.15g\r\n",
-                 zip(series.values.tolist()))
+    _write_table(path, ["return"], "%.15g\r\n", [series.values.tolist()])
 
 
 def write_density_csv(path, grid: DensityGrid, levy_fn=None) -> None:
@@ -102,7 +113,7 @@ def write_density_csv(path, grid: DensityGrid, levy_fn=None) -> None:
             levy[i] = "%.15g" % v
     _write_table(path, ["x", "pdf", "cdf", "levy_density"],
                  "%.15g,%.15g,%.15g,%s\r\n",
-                 zip(grid.x.tolist(), grid.pdf.tolist(), grid.cdf.tolist(), levy))
+                 [grid.x.tolist(), grid.pdf.tolist(), grid.cdf.tolist(), levy])
 
 
 def write_exponent_csv(path, xi, values) -> None:
@@ -110,8 +121,8 @@ def write_exponent_csv(path, xi, values) -> None:
     values = np.asarray(values)
     _write_table(path, ["xi", "re_exponent", "im_exponent"],
                  "%.15g,%.15g,%.15g\r\n",
-                 zip(np.asarray(xi, dtype=float).tolist(),
-                     values.real.tolist(), values.imag.tolist()))
+                 [np.asarray(xi, dtype=float).tolist(),
+                  values.real.tolist(), values.imag.tolist()])
 
 
 def write_trace_csv(path, trace: FitTrace) -> None:
@@ -119,9 +130,10 @@ def write_trace_csv(path, trace: FitTrace) -> None:
     its gradient norm, and the largest Hessian eigenvalue."""
     from .estimation import TRACE_COLUMNS, trace_rows
 
+    rows = trace_rows(trace)
     _write_table(path, TRACE_COLUMNS,
                  "%d" + ",%.15g" * (len(TRACE_COLUMNS) - 1) + "\r\n",
-                 map(tuple, trace_rows(trace)))
+                 [[row[k] for row in rows] for k in range(len(TRACE_COLUMNS))])
 
 
 def write_paths_csv(path, paths) -> None:
@@ -133,7 +145,7 @@ def write_paths_csv(path, paths) -> None:
         raise ValueError("paths must share a common length")
     _write_table(path, ["step"] + [f"path_{i}" for i in range(len(paths))],
                  "%d" + ",%.15g" * len(paths) + "\r\n",
-                 zip(range(n), *(sp.x.tolist() for sp in paths)))
+                 [range(n), *(sp.x.tolist() for sp in paths)])
 
 
 def write_json(path, payload: dict) -> None:

@@ -13,6 +13,8 @@ compound Poisson sum, with no grid.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, gamma
 
@@ -251,6 +253,14 @@ def _start_steps(c: OuConfig) -> int:
     return max(1, ceil(_MAX_SPAN / total))
 
 
+def _usable_cpus() -> int:
+    """Cores this process may run on: its affinity set where the platform has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_paths(p: GtsParams, c: OuConfig, rngs,
                    sampler: IncrementSampler | None = None) -> list:
     """One path per generator in ``rngs``: X_i = a X_{i-1} + y_i for n_steps
@@ -260,6 +270,14 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
     more exact draws and keeps the last n_steps + 1 values.  The draws are
     stacked as (steps, paths) and summed in place, one row at a time, as
     w[0] = y[0], w[i] = a w[i-1] + y[i]; then x[1:] = a^k x0 + w.
+
+    The draws run on w = min(len(rngs), usable cores) threads, the calling
+    thread among them: thread k draws generators k, k + w, k + 2w, ...; numpy
+    releases the GIL in its random fills and float loops.  A path reads its
+    own generator alone, so the paths do not depend on the core count.  A
+    generator listed twice (or two sharing one bit generator) draws its paths
+    in list order, each from where the previous one stopped, so such a list
+    is drawn on the calling thread alone.
     """
     if sampler is None:
         sampler = build_increment_sampler(p, c)
@@ -270,8 +288,21 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
     x0 = p.mu if c.stationary_start else float(c.x0)
     n = m + c.n_steps
     w = np.empty((n, len(rngs)))
-    for j, rng in enumerate(rngs):
-        w[:, j] = sampler.draw(rng, n)
+
+    def draw_share(k: int, step: int) -> None:
+        for j in range(k, len(rngs), step):
+            w[:, j] = sampler.draw(rngs[j], n)
+
+    streams = {id(getattr(rng, "bit_generator", rng)) for rng in rngs}
+    workers = min(len(rngs), _usable_cpus()) if len(streams) == len(rngs) else 1
+    if workers > 1:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            shares = [pool.submit(draw_share, k, workers) for k in range(1, workers)]
+            draw_share(0, workers)
+            for share in shares:
+                share.result()
+    else:
+        draw_share(0, 1)
 
     a = c.a
     damped = np.empty(len(rngs))

@@ -65,8 +65,18 @@ def _log_zeta2(u: np.ndarray, beta: float) -> np.ndarray:
     written with log(sin(x)/x) so that it tends to 0 as u -> 0 (at u = 0
     itself it is nan, which every caller rejects)."""
     def lsinc(x):
-        return np.log(np.sin(x) / x)
-    return beta * lsinc(beta * u) + (1.0 - beta) * lsinc((1.0 - beta) * u) - lsinc(u)
+        s = np.sin(x)
+        s /= x
+        return np.log(s, out=s)
+
+    # beta lsinc(beta u) + (1-beta) lsinc((1-beta) u) - lsinc(u), in place
+    out = lsinc(beta * u)
+    out *= beta
+    mid = lsinc((1.0 - beta) * u)
+    mid *= 1.0 - beta
+    out += mid
+    out -= lsinc(u)
+    return out
 
 
 def _kanter(rng: np.random.Generator, n: int, beta: float, lam: float,
@@ -81,10 +91,18 @@ def _kanter(rng: np.random.Generator, n: int, beta: float, lam: float,
     kept, got = [], 0
     while got < need:
         k = int((need - got) * exp(lam / m) * 1.05) + 16
-        u = pi * rng.random(k)
+        u = rng.random(k)
+        u *= pi
         x = rng.standard_exponential(k)
+        # piece = exp((shift + log zeta^2(u) - (1-beta) log x) / beta), in place
         with np.errstate(over="ignore"):
-            piece = np.exp((shift + _log_zeta2(u, beta) - (1.0 - beta) * np.log(x)) / beta)
+            piece = _log_zeta2(u, beta)
+            piece += shift
+            np.log(x, out=x)
+            x *= 1.0 - beta
+            piece -= x
+            piece /= beta
+            np.exp(piece, out=piece)
         piece = piece[rng.standard_exponential(k) > piece]
         kept.append(piece)
         got += piece.size

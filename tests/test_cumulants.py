@@ -94,9 +94,14 @@ def test_cumulants_indexing():
 
 
 def test_cumulants_past_gamma_overflow_name_k():
-    # Gamma(K - beta) overflows a double once K - beta > 171.62: a typed
-    # error that names K, not an inf or nan cumulant
-    assert len(cumulants(EQUITY_PARAMS, 171)) == 171  # Gamma(171 - beta) is finite
+    # a cumulant that is not a finite double is a typed error that names K,
+    # not an inf or nan: alpha Gamma(k - beta) / lambda^(k - beta) overflows
+    # first at lambda < 1 (equity at k = 162, crypto at k = 130), Gamma(K - beta)
+    # itself once K - beta > 171.62
+    for p, first_bad in ((EQUITY_PARAMS, 162), (CRYPTO_PARAMS, 130)):
+        assert len(cumulants(p, first_bad - 1)) == first_bad - 1  # the last all-finite K
+        with pytest.raises(ValueError, match=f"K={first_bad}"):
+            cumulants(p, first_bad)
     with pytest.raises(ValueError, match="K=180"):
         cumulants(EQUITY_PARAMS, 180)
 

@@ -1,6 +1,8 @@
 """Exact OU-type simulation: increment sampling, the autoregressive
 recursion, seeding discipline, and moment reporting."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from math import ceil
 
@@ -205,28 +207,87 @@ def test_path_recursion_unrolled(sampler):
     assert not path.x.flags.writeable
 
 
-@pytest.mark.parametrize("lam", [0.1, 1.0, 50.0])
-@pytest.mark.parametrize("mode", [Marginal.GTS, Marginal.SD])
-@pytest.mark.parametrize("x0", [None, 0.7])
-def test_paths_equal_scalar_recursion(lam, mode, x0):
-    # bit for bit: each path is its own stream's draws run through the float
-    # recursion w = a w + y[k], plus a^k x0, and the first m values dropped.
-    # a^k is numpy's power, as in the path: its vector loop differs from the
-    # scalar pow by one ulp at some k
-    c = OuConfig(lambda_rate=lam, dt=1.0, mode=mode, x0=x0, n_steps=150, seed=8)
-    s = build_increment_sampler(EQUITY_PARAMS, c)
-    paths = simulate_paths(EQUITY_PARAMS, c, [np.random.default_rng(k) for k in (3, 4)], s)
-    m = ceil(37.0 / lam) if x0 is None else 0
-    start = EQUITY_PARAMS.mu if x0 is None else x0
+def _scalar_recursion(s, c, rngs) -> list:
+    """Bit for bit what each path must be: its generator's draws, taken in
+    list order, run through the float recursion w = a w + y[k], plus a^k x0,
+    with the first m values dropped.  a^k is numpy's power, as in the path:
+    its vector loop differs from the scalar pow by one ulp at some k."""
+    m = ceil(37.0 / (c.lambda_rate * c.dt)) if c.stationary_start else 0
+    start = s.params.mu if c.stationary_start else c.x0
     decayed_start = c.a ** np.arange(1, m + c.n_steps + 1) * start
-    for seed, path in zip((3, 4), paths):
-        y = s.draw(np.random.default_rng(seed), m + c.n_steps)
+    paths = []
+    for rng in rngs:
+        y = s.draw(rng, m + c.n_steps)
         w, expect = 0.0, [start]
         for k in range(m + c.n_steps):
             w = c.a * w + float(y[k])
             expect.append(float(decayed_start[k]) + w)
-        assert np.array_equal(path.x, expect[m:])
+        paths.append(expect[m:])
+    return paths
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 50.0])
+@pytest.mark.parametrize("mode", [Marginal.GTS, Marginal.SD])
+@pytest.mark.parametrize("x0", [None, 0.7])
+def test_paths_equal_scalar_recursion(lam, mode, x0):
+    c = OuConfig(lambda_rate=lam, dt=1.0, mode=mode, x0=x0, n_steps=150, seed=8)
+    s = build_increment_sampler(EQUITY_PARAMS, c)
+    paths = simulate_paths(EQUITY_PARAMS, c, [np.random.default_rng(k) for k in (3, 4)], s)
+    expect = _scalar_recursion(s, c, [np.random.default_rng(k) for k in (3, 4)])
+    for path, values in zip(paths, expect, strict=True):
+        assert np.array_equal(path.x, values)
         assert path.stationary_start == (x0 is None)
+
+
+POOL_CFG = OuConfig(lambda_rate=1.0, dt=1.0, mode=Marginal.SD, n_steps=60, seed=8)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 5])
+def test_paths_do_not_depend_on_core_count(n_paths, monkeypatch):
+    # the generators are drawn on min(n_paths, cores) threads, the calling
+    # one among them; every core count gives each generator's serial path
+    s = build_increment_sampler(EQUITY_PARAMS, POOL_CFG)
+    expect = _scalar_recursion(s, POOL_CFG, [np.random.default_rng(k) for k in range(n_paths)])
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ou, "ThreadPoolExecutor", RecordingPool)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(ou, "_usable_cpus", lambda cores=cores: cores)
+        rngs = [np.random.default_rng(k) for k in range(n_paths)]
+        paths = simulate_paths(EQUITY_PARAMS, POOL_CFG, rngs, s)
+        for path, values in zip(paths, expect, strict=True):
+            assert np.array_equal(path.x, values)
+    assert pools == [min(n_paths, cores) - 1 for cores in (1, 2, 3) if min(n_paths, cores) > 1]
+
+
+def test_repeated_generator_draws_in_list_order(monkeypatch):
+    # two threads sharing one generator would interleave its calls; the list
+    # is drawn serially, the second path from where the first one stopped
+    monkeypatch.setattr(ou, "_usable_cpus", lambda: 2)
+    s = build_increment_sampler(EQUITY_PARAMS, POOL_CFG)
+    rng = np.random.default_rng(3)
+    paths = simulate_paths(EQUITY_PARAMS, POOL_CFG, [rng, rng], s)
+    again = np.random.default_rng(3)
+    expect = _scalar_recursion(s, POOL_CFG, [again, again])
+    for path, values in zip(paths, expect, strict=True):
+        assert np.array_equal(path.x, values)
+    assert not np.array_equal(paths[0].x, paths[1].x)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_error_in_a_share_propagates_and_joins_the_pool(cores, monkeypatch):
+    # index 1 is drawn by the worker thread when there are two cores
+    monkeypatch.setattr(ou, "_usable_cpus", lambda: cores)
+    s = build_increment_sampler(EQUITY_PARAMS, POOL_CFG)
+    before = threading.active_count()
+    with pytest.raises(AttributeError):
+        simulate_paths(EQUITY_PARAMS, POOL_CFG, [np.random.default_rng(0), 1], s)
+    assert threading.active_count() == before
 
 
 def test_ensemble_is_one_path_per_spawned_stream(sampler):
