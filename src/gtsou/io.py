@@ -1,12 +1,17 @@
 """CSV/JSON plumbing: return-series ingest, density/exponent/trace/path
 tables, and report files.  Numeric output uses 15 significant digits, so a
 returns CSV round-trips losslessly through ingest followed by emit (and an
-emitted series re-ingests to the same 15 significant digits)."""
+emitted series re-ingests to the same 15 significant digits).
+
+Every table is written by ``_write_table`` a block of cells at a time, each
+cell exactly the bytes of ``b"%.15g" % v`` but formatted in bulk by numpy
+(``_G15``)."""
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -76,28 +81,184 @@ def ingest(path, kind: SeriesKind) -> ReturnSeries:
     return ReturnSeries(values, source=str(path))
 
 
-_BLOCK_ROWS = 1024
+# Longest %.15g cell: "-1.23456789012345e-100".
+_G15_WIDTH = 22
+# Dekker's splitter 2^27 + 1; below 1e280 no product with it overflows.
+_SPLIT = 134217729.0
+# Byte offsets in a cell's 28-byte source row: the four 4-digit chunks of the
+# 15 digits (byte 0 is a '0', the digits are bytes 1..15), the exponent as a
+# 4-digit chunk, then the constant word ".e-+" and a NUL word.
+_ZERO, _EXP, _DOT, _E, _MINUS, _PLUS, _NUL = 0, 16, 20, 21, 22, 23, 24
+_ROW_BYTES = 28
 
 
-def _write_table(path, header, row_fmt: str, columns) -> None:
-    """Header plus one ``row_fmt % row`` line per row, row i holding the i-th
-    entry of each of the equal-length ``columns`` (lists or ranges), with the
-    ``\\r\\n`` terminators and unquoted cells that ``csv.writer`` gives these
-    tables.  ``_BLOCK_ROWS`` rows at a time are interleaved into one tuple and
-    formatted by one ``%``."""
-    n, width = len(columns[0]), len(columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = min(_BLOCK_ROWS, n - start)
-            cells = [None] * (rows * width)
-            for k, column in enumerate(columns):
-                cells[k::width] = column[start:start + rows]
-            fh.write((row_fmt * rows) % tuple(cells))
+@functools.cache
+def _g15_tables():
+    """The tables of ``_G15``, built on first use.
+
+    * 10^k as an unevaluated sum hi + lo of two doubles (hi correctly rounded,
+      lo the correctly rounded remainder), for k = 14 - e, e in [-281, 280];
+    * the ASCII chunks "0000".."9999" as 4-byte words, built from bytes so
+      that gathering and re-viewing them keeps their byte order;
+    * the trailing-zero count of each chunk (4 for "0000");
+    * one template per %g layout: the 22 source-row offsets that spell a cell
+      of that sign, exponent class and significant-digit count, NUL-padded;
+    * the exponent class of each e: 0..18 fixed (e = -4..14), 19 and 20
+      negative exponents of two and three digits, 21 and 22 positive ones.
+    """
+    hi, lo = np.empty(562), np.empty(562)
+    for e in range(-281, 281):  # 10^(14-e) = num / den exactly
+        num, den = (10 ** (14 - e), 1) if e <= 14 else (1, 10 ** (e - 14))
+        hi[e + 281] = num / den
+        h_num, h_den = hi[e + 281].as_integer_ratio()
+        lo[e + 281] = (num * h_den - h_num * den) / (den * h_den)
+    i = np.arange(10000)
+    ascii_digits = (i[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    chunks = ascii_digits.view(np.uint32).ravel()
+    zeros = sum(i % 10**j == 0 for j in range(1, 5))
+
+    def template(negative, cls, nsig):
+        digits = list(range(1, 16))
+        out = [_MINUS] if negative else []
+        if cls <= 18:  # fixed point, e = cls - 4
+            e = cls - 4
+            if e >= 0:
+                out += digits[:e + 1]
+                if nsig > e + 1:
+                    out += [_DOT] + digits[e + 1:nsig]
+            else:
+                out += [_ZERO, _DOT] + [_ZERO] * (-e - 1) + digits[:nsig]
+        else:
+            out += digits[:1] + ([_DOT] + digits[1:nsig] if nsig > 1 else [])
+            out += [_E, _MINUS if cls < 21 else _PLUS]
+            out += [_EXP + 1, _EXP + 2, _EXP + 3] if cls in (20, 22) else [_EXP + 2, _EXP + 3]
+        return out + [_NUL] * (_G15_WIDTH - len(out))
+
+    templates = np.array([template(neg, cls, nsig) for neg in (False, True)
+                          for cls in range(23) for nsig in range(1, 16)], dtype=np.intp)
+    e = np.arange(-281, 281)
+    classes = np.select([e < -99, e < -4, e < 15, e < 100], [20, 19, e + 4, 21], 22)
+    tables = hi, lo, chunks, zeros, templates, classes
+    for table in tables:  # shared by every caller of the cache
+        table.setflags(write=False)
+    return tables
+
+
+class _G15:
+    """``%.15g`` cells for up to ``size`` floats per call, written as
+    NUL-padded 22-byte rows into a caller's array, with numpy alone.
+
+    For 1e-280 < |v| < 1e280 the 15 digits are N = round(|v| 10^(14-e)),
+    e = floor(log10 |v|), from a double-double product: Dekker's exact split
+    of |v| times the hi word of 10^(14-e), plus |v| times its lo word, good to
+    about 1e-15 in N, and exact when 10^(14-e) is a double.  N = 10^15
+    carries into the next exponent.  The bytes are gathered from each cell's
+    source row through the template of its layout.  A cell within 1e-9 of a
+    rounding tie, one whose |v| 10^(14-e)
+    falls below 10^14 or whose N exceeds 10^15 (log10 off by one next to a
+    power of ten), and every value outside (1e-280, 1e280), zeros, nan and
+    inf among them, are formatted by ``%`` itself.
+
+    The source rows and the (cells x 22) template index are allocated once
+    and reused by every call: fresh arrays of that size for every block of a
+    table were returned to the system and faulted back in each time.
+    """
+
+    def __init__(self, size: int):
+        self._tables = _g15_tables()
+        self._rows = np.empty((size, _ROW_BYTES // 4), dtype=np.uint32)
+        self._rows[:, 5:] = np.frombuffer(b".e-+\0\0\0\0", dtype=np.uint32)
+        self._index = np.empty((size, _G15_WIDTH), dtype=np.intp)
+        self._offsets = np.arange(0, _ROW_BYTES * size, _ROW_BYTES)[:, None]
+
+    def __call__(self, values, out) -> None:
+        """Write ``b"%.15g" % v`` for the i-th of ``values`` (any shape, read
+        in C order) into row i of the (cells x 22) uint8 array ``out``."""
+        hi, lo, chunks, zeros, templates, classes = self._tables
+        v = np.asarray(values, dtype=float).ravel()
+        a = np.abs(v)
+        ok = (a > 1e-280) & (a < 1e280)
+        a[~ok] = 1.0
+        e = np.floor(np.log10(a)).astype(np.intp)
+        b_hi, b_lo = hi[e + 281], lo[e + 281]
+        p = a * b_hi
+        t = a * _SPLIT
+        a_hi = t - (t - a)
+        a_lo = a - a_hi
+        t = b_hi * _SPLIT
+        bh_hi = t - (t - b_hi)
+        bh_lo = b_hi - bh_hi
+        err = ((a_hi * bh_hi - p) + a_hi * bh_lo + a_lo * bh_hi) + a_lo * bh_lo
+        whole = np.floor(p)
+        frac = (p - whole) + (err + a * b_lo)  # |v| 10^(14-e) = whole + frac
+        up = np.rint(frac)
+        ok &= np.abs(frac - up) < 0.5 - 1e-9  # a near-tie goes to %
+        n = (whole + up).astype(np.int64)
+        ok &= ((n > 10**14) | ((whole == 10**14) & (frac >= 0.0))) & (n <= 10**15)
+        carry = n == 10**15
+        n[carry] = 10**14
+        e += carry
+
+        c0, rest = np.divmod(n, 10**12)
+        c1, rest = np.divmod(rest, 10**8)
+        c2, c3 = np.divmod(rest, 10**4)
+        trailing = np.where(c3, zeros[c3], 4 + np.where(
+            c2, zeros[c2], 4 + np.where(c1, zeros[c1], 4 + zeros[c0])))
+        rows, index = self._rows[:v.size], self._index[:v.size]
+        for k, c in enumerate((c0, c1, c2, c3, np.abs(e))):
+            chunks.take(c, out=rows[:, k], mode="clip")
+        layout = (np.signbit(v) * 23 + classes[e + 281]) * 15 + (14 - trailing)
+        templates.take(layout, axis=0, out=index, mode="clip")
+        index += self._offsets[:v.size]
+        rows.view(np.uint8).take(index, out=out, mode="clip")
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            text = np.array([b"%.15g" % x for x in v[bad].tolist()], dtype=f"S{_G15_WIDTH}")
+            out[bad] = text.view(np.uint8).reshape(bad.size, _G15_WIDTH)
+
+
+# Cells per block of _write_table.  2^12 was the fastest on a density table;
+# larger blocks cost more in cache misses and page faults than they save in
+# per-call overhead.
+_BLOCK_CELLS = 1 << 12
+
+
+def _write_table(path, header, columns, blank=None) -> None:
+    """Header plus one row per entry of the equal-length ``columns`` (1-d
+    arrays, or 2-d arrays of several columns each; ``header`` names every
+    column), each cell ``%.15g`` of its value (so an integer below 10^15 reads
+    as ``%d`` would), with the ``\\r\\n`` terminators and unquoted cells
+    that ``csv.writer`` gives these tables.  Rows where the boolean ``blank``
+    is set leave their last cell empty.
+
+    The rows go out in blocks of about ``_BLOCK_CELLS`` cells.  Each block's
+    row-major matrix is formatted by one ``_G15`` call into a line buffer that
+    holds every cell NUL-padded to 22 bytes and followed by ',' or "\\r\\n";
+    the NULs are then dropped.  The buffers are allocated once per table."""
+    n, width = len(columns[0]), len(header)
+    step = max(1, min(n, _BLOCK_CELLS // width))
+    g15 = _G15(step * width)
+    lines = np.zeros((step, width, _G15_WIDTH + 2), dtype=np.uint8)
+    lines[:, :-1, _G15_WIDTH] = ord(",")
+    lines[:, -1, _G15_WIDTH:] = (ord("\r"), ord("\n"))
+    keep = np.empty(lines.shape, dtype=bool)
+    packed = np.empty(lines.size, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, n, step):
+            rows = min(step, n - start)
+            block = np.column_stack([c[start:start + rows] for c in columns])
+            g15(block, lines[:rows].reshape(rows * width, -1)[:, :_G15_WIDTH])
+            if blank is not None:
+                lines[:rows][blank[start:start + rows], -1, :_G15_WIDTH] = 0
+            np.not_equal(lines[:rows], 0, out=keep[:rows])
+            size = np.count_nonzero(keep[:rows])
+            np.compress(keep[:rows].ravel(), lines[:rows].ravel(), out=packed[:size])
+            fh.write(packed[:size])
 
 
 def emit_series(path, series: ReturnSeries) -> None:
-    _write_table(path, ["return"], "%.15g\r\n", [series.values.tolist()])
+    _write_table(path, ["return"], [series.values])
 
 
 def write_density_csv(path, grid: DensityGrid, levy_fn=None) -> None:
@@ -105,24 +266,24 @@ def write_density_csv(path, grid: DensityGrid, levy_fn=None) -> None:
     (blank where it does not, e.g. at x = 0 or for increment laws).
 
     ``levy_fn`` takes an array: it is called once, on every nonzero x node.
+    The table is formatted a block at a time, so what it holds beyond the
+    grid is the Levy column and one block's temporaries.
     """
-    levy = [""] * grid.x.size
-    if levy_fn is not None:
-        nonzero = np.flatnonzero(grid.x)
-        for i, v in zip(nonzero.tolist(), np.asarray(levy_fn(grid.x[nonzero])).tolist()):
-            levy[i] = "%.15g" % v
+    levy = np.ones(grid.x.size)  # blank cells hold 1.0, which formats fast
+    if levy_fn is None:
+        blank = np.ones(grid.x.size, dtype=bool)
+    else:
+        blank = grid.x == 0.0
+        levy[~blank] = levy_fn(grid.x[~blank])
     _write_table(path, ["x", "pdf", "cdf", "levy_density"],
-                 "%.15g,%.15g,%.15g,%s\r\n",
-                 [grid.x.tolist(), grid.pdf.tolist(), grid.cdf.tolist(), levy])
+                 [grid.x, grid.pdf, grid.cdf, levy], blank)
 
 
 def write_exponent_csv(path, xi, values) -> None:
     """Frequency / real part / imaginary part of a characteristic exponent."""
     values = np.asarray(values)
     _write_table(path, ["xi", "re_exponent", "im_exponent"],
-                 "%.15g,%.15g,%.15g\r\n",
-                 [np.asarray(xi, dtype=float).tolist(),
-                  values.real.tolist(), values.imag.tolist()])
+                 [np.asarray(xi, dtype=float), values.real, values.imag])
 
 
 def write_trace_csv(path, trace: FitTrace) -> None:
@@ -130,10 +291,7 @@ def write_trace_csv(path, trace: FitTrace) -> None:
     its gradient norm, and the largest Hessian eigenvalue."""
     from .estimation import TRACE_COLUMNS, trace_rows
 
-    rows = trace_rows(trace)
-    _write_table(path, TRACE_COLUMNS,
-                 "%d" + ",%.15g" * (len(TRACE_COLUMNS) - 1) + "\r\n",
-                 [[row[k] for row in rows] for k in range(len(TRACE_COLUMNS))])
+    _write_table(path, TRACE_COLUMNS, [np.array(trace_rows(trace), dtype=float)])
 
 
 def write_paths_csv(path, paths) -> None:
@@ -144,8 +302,7 @@ def write_paths_csv(path, paths) -> None:
     if any(len(sp.x) != n for sp in paths):
         raise ValueError("paths must share a common length")
     _write_table(path, ["step"] + [f"path_{i}" for i in range(len(paths))],
-                 "%d" + ",%.15g" * len(paths) + "\r\n",
-                 [range(n), *(sp.x.tolist() for sp in paths)])
+                 [np.column_stack([np.arange(n), *(sp.x for sp in paths)])])
 
 
 def write_json(path, payload: dict) -> None:

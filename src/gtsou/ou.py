@@ -279,6 +279,8 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
     in list order, each from where the previous one stopped, so such a list
     is drawn on the calling thread alone.
     """
+    if len(rngs) == 0:
+        raise ValueError("rngs is an empty list: give one generator per path")
     if sampler is None:
         sampler = build_increment_sampler(p, c)
     if sampler.config != c or sampler.params != p:

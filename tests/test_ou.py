@@ -339,6 +339,11 @@ def test_ensemble_reproducible_and_independent(sampler):
         simulate_ensemble(EQUITY_PARAMS, CFG, 0, sampler)
 
 
+def test_empty_generator_list_rejected(sampler):
+    with pytest.raises(ValueError, match="rngs is an empty list"):
+        simulate_paths(EQUITY_PARAMS, CFG, [], sampler)
+
+
 def test_terminal_values_follow_stationary_law():
     # exact simulation from a stationary start: the first and the terminal
     # value of every path are draws from the marginal; KS at 1% against the
