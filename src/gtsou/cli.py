@@ -18,9 +18,8 @@ if TYPE_CHECKING:
     from .ou import OuConfig
     from .params import GtsParams
 
-# Each subcommand imports what it uses when it runs: --help, moments, density
-# and simulate load no scipy at all, and fit loads scipy.optimize and
-# scipy.special.  No subcommand loads scipy.signal.
+# Each subcommand imports what it uses when it runs: --help, moments, density,
+# simulate and fit load no scipy at all.  No subcommand loads scipy.signal.
 _MODES = ("gts", "sd")
 
 

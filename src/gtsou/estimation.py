@@ -1,6 +1,6 @@
 """Maximum-likelihood fitting of the seven GTS parameters by trust-region
-Newton (scipy's ``trust-exact``) over an FFT-evaluated likelihood, with the
-score and Hessian inverted from differentiated characteristic functions."""
+Newton (a Moré–Sorensen step in numpy) over an FFT-evaluated likelihood, with
+the score and Hessian inverted from differentiated characteristic functions."""
 
 from __future__ import annotations
 
@@ -190,6 +190,8 @@ def max_eigenvalue(h) -> float:
     a = np.array(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("max_eigenvalue expects a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("max_eigenvalue: the matrix is not finite (nan or inf entry)")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(a).max())):
         raise ValueError("max_eigenvalue expects a symmetric matrix")
     return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
@@ -298,36 +300,51 @@ def _from_coordinates(z: np.ndarray) -> tuple:
     return v, d, d2
 
 
+def _trust_step(g: np.ndarray, h: np.ndarray, radius: float) -> tuple:
+    """(p, on_boundary): a step with |p| <= 1.1 radius that nearly maximises
+    g.p + p.h.p/2 (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983).  It is
+    the Newton step if h is negative definite and that fits; else p(s) =
+    (sI - h)^-1 g, s > max(0, top eigenvalue), bisected until ||p| - radius|
+    <= radius/10; or, in the hard case, carried to the boundary along the top
+    eigenvector.  np.linalg.LinAlgError if ``eigh`` fails."""
+    lam, q = np.linalg.eigh(h)
+    gq = q.T @ g
+    if lam[-1] < 0.0 and np.linalg.norm(gq / lam) <= radius:
+        return q @ (-gq / lam), False
+    lo = max(0.0, lam[-1])
+    hi = lo + np.linalg.norm(g) / radius  # |p(hi)| <= radius
+    while lo < (s := 0.5 * (lo + hi)) < hi:
+        c = gq / (s - lam)
+        size = np.linalg.norm(c)
+        if abs(size - radius) <= 0.1 * radius:
+            return q @ c, True
+        lo, hi = (s, hi) if size > radius else (lo, s)
+    c = np.divide(gq, lo - lam, out=np.zeros_like(gq), where=lam < lam[-1])
+    c[-1] = np.copysign(np.sqrt(max(radius**2 - c @ c, 0.0)), gq[-1])
+    return q @ c, True
+
+
 def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
         g: GridSpec | None = None) -> FitTrace:
     """Trust-region Newton ascent of the log-likelihood.
 
-    scipy's ``trust-exact`` (Moré–Sorensen) minimises -l; its exact
-    subproblem solve handles the indefinite Hessians met far from the
-    optimum.  It runs in ``_coordinates``, which are unconstrained yet reach
-    beta = 0 and alpha = 0; there the square map gives -l negative curvature
-    whenever l rises inward, so the fit can leave the boundary.  Gradient and
-    Hessian follow from ``score_and_hessian`` by the chain rule, g_z = D g
-    and H_z = D H D + diag(D2 g).  An infeasible proposal gets +inf and fails
-    the ratio test, and ``FitTrace.infeasible`` counts it by exception type;
-    a proposal whose likelihood does not rise fails the ratio test too,
-    so its score and Hessian are never computed.  The score and Hessian then
-    come once per recorded state, plus once per rising proposal that the
-    ratio test still rejects, and reuse the density inverted for the
-    likelihood: one inversion per evaluated point.
+    It runs in ``_coordinates``, unconstrained yet reaching beta = 0 and
+    alpha = 0, where the square map gives l positive curvature whenever l
+    rises inward, so the fit can leave the boundary.  ``_trust_step``
+    proposes each step from g_z = D g and H_z = D H D + diag(D2 g).  A
+    proposal costs one inversion, and its score and Hessian only once it is
+    accepted; one whose likelihood or score raises is rejected and counted in
+    ``FitTrace.infeasible`` by exception type.  Each accepted point becomes a
+    FitState in the natural parameters.
 
-    Each accepted point becomes a FitState in the natural parameters.  Stop
-    reasons: GradientTol (gradient_norm <= grad_tol and max_eigenvalue <= 0),
-    MaxIter (``max_iter`` accepted steps), NoProgress (the model predicts no
-    decrease) and SingularHessian (the subproblem's linear algebra failed).
-    The grid (``fit_grid`` unless ``g`` is given, expanded to cover the data)
-    is planned once, every evaluation reuses its InversionPlan, and
-    ``FitTrace.grid`` reports it; ``fit_grid`` budgets the stencil's
-    log-likelihood error at ``init`` only.  ValueError before any planning
-    unless ``grad_tol`` is finite and >= 0 and ``max_iter`` an integer >= 0.
+    Stop reasons: GradientTol (gradient_norm <= grad_tol and max_eigenvalue
+    <= 0), MaxIter (``max_iter`` accepted steps), NoProgress (no predicted
+    rise, or a step that no longer moves z) and SingularHessian (``eigh``
+    failed).  The grid, ``fit_grid``'s unless ``g`` is given and expanded to
+    cover the data, is planned once and reported as ``FitTrace.grid``.
+    ValueError before any planning unless ``grad_tol`` is finite and >= 0 and
+    ``max_iter`` an integer >= 0.
     """
-    from scipy.optimize import minimize
-
     if not (np.isfinite(grad_tol) and grad_tol >= 0.0):
         raise ValueError(f"grad_tol must be finite and >= 0, got {grad_tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
@@ -336,70 +353,44 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     plan = _plan_for(data, fit_grid(data, init) if g is None else g)
     states: list[FitState] = []
     infeasible: Counter = Counter()
-    last: dict = {}  # the point evaluated last: scipy asks for f, g, H apart
-
-    def evaluate(z: np.ndarray, p: GtsParams | None = None) -> dict:
-        """-l, its z-gradient and z-Hessian, and the natural values, from one
-        likelihood and one score/Hessian call.  scipy builds the model of
-        every proposal before its ratio test, so a proposal that cannot pass
-        it gets zeros in place of the score and Hessian: +inf when
-        infeasible, and -l without the score call when l does not rise above
-        the last accepted point's.  ``p`` is z's exact params."""
-        if np.array_equal(last.get("z"), z):
-            return last
-        last.clear()
-        last["z"] = z.copy()
-        v, d, d2 = _from_coordinates(z)
-        zeros = np.zeros(z.size), np.zeros((z.size, z.size))
-        try:
-            p = GtsParams.from_vector(v) if p is None else p
-            density = _density_at_data(data, p, plan)
-            l = _log_likelihood(density)
-            if states and not l > states[-1].log_likelihood:
-                last["model"] = (-l, *zeros)
-                return last
-            grad, hess = _score_and_hessian(density, p)
-        except (NormalizationError, ValueError, ArithmeticError) as exc:
-            if not states:  # the start's errors propagate
-                raise
-            infeasible[type(exc).__name__] += 1
-            last["model"] = (np.inf, *zeros)
-            return last
-        last["natural"] = p, l, grad, hess
-        last["model"] = (-l, -d * grad,
-                         -(d[:, None] * hess * d[None, :] + np.diag(d2 * grad)))
-        return last
-
-    def accept(z: np.ndarray) -> str | None:
-        """Record the point z as a FitState; the stop reason, if any."""
-        p, l, grad, hess = evaluate(z)["natural"]
-        gn = float(np.linalg.norm(grad))
-        me = max_eigenvalue(hess)
-        states.append(FitState(p, l, grad, hess, gn, me, len(states)))
-        if gn <= grad_tol and me <= 0.0:
-            return "GradientTol"
-        if len(states) > max_iter:
-            return "MaxIter"
-        return None
-
-    z_cur = _coordinates(init)
-    evaluate(z_cur, init)
-    reason = accept(z_cur)
-
-    def callback(z: np.ndarray) -> None:
-        nonlocal z_cur, reason
-        if not np.array_equal(z, z_cur):  # else scipy rejected the step
-            z_cur, reason = z, accept(z)
+    z, p, radius, accepted = _coordinates(init), init, 1.0, True
+    density = _density_at_data(data, p, plan)  # the start's errors propagate
+    l, (grad, hess) = _log_likelihood(density), _score_and_hessian(density, p)
+    while True:
+        if accepted:
+            gn, me = float(np.linalg.norm(grad)), max_eigenvalue(hess)
+            states.append(FitState(p, l, grad, hess, gn, me, len(states)))
+            reason = ("GradientTol" if gn <= grad_tol and me <= 0.0
+                      else "MaxIter" if len(states) > max_iter else None)
             if reason is not None:
-                raise StopIteration
-
-    if reason is None:
-        res = minimize(lambda z: evaluate(z)["model"][0], z_cur, method="trust-exact",
-                       jac=lambda z: evaluate(z)["model"][1],
-                       hess=lambda z: evaluate(z)["model"][2],
-                       callback=callback, options={"gtol": 0.0})  # callback stops
-        if reason is None:
-            reason = {1: "MaxIter", 3: "SingularHessian"}.get(res.status, "NoProgress")
+                break
+            _, d, d2 = _from_coordinates(z)
+            g_z, h_z = d * grad, d[:, None] * hess * d + np.diag(d2 * grad)
+        try:
+            step, on_boundary = _trust_step(g_z, h_z, radius)
+        except np.linalg.LinAlgError:
+            reason = "SingularHessian"
+            break
+        predicted = g_z @ step + 0.5 * step @ h_z @ step
+        if not predicted > 0.0 or np.array_equal(z + step, z):
+            reason = "NoProgress"
+            break
+        try:
+            p_new = GtsParams.from_vector(_from_coordinates(z + step)[0])
+            density = _density_at_data(data, p_new, plan)
+            l_new = _log_likelihood(density)
+            rho = (l_new - l) / predicted
+            if accepted := rho > 0.15:
+                grad, hess = _score_and_hessian(density, p_new)
+        except (NormalizationError, ValueError, ArithmeticError) as exc:
+            infeasible[type(exc).__name__] += 1
+            rho, accepted = -np.inf, False
+        if not rho >= 0.25:  # a quarter of an interior step, not proposed again
+            radius = 0.25 * (radius if on_boundary else float(np.linalg.norm(step)))
+        elif rho > 0.75 and on_boundary:
+            radius = min(2.0 * radius, 1000.0)
+        if accepted:
+            z, p, l = z + step, p_new, l_new
     return FitTrace(tuple(states), reason == "GradientTol", reason, dict(infeasible),
                     plan.grid)
 

@@ -8,6 +8,7 @@ from math import factorial, gamma
 import numpy as np
 
 from .params import PARAM_NAMES, GtsParams
+from .special import digamma_trigamma
 
 # sd_exponent_unit_form's switch to its log branch: below this stability index
 # its integrand Gamma(-beta)*((lam-i*xi*u)^beta-lam^beta)/u cancels
@@ -129,8 +130,6 @@ def psi_one_sided_derivatives(xi, beta: float, alpha: float, lam: float) -> tupl
     d/dalpha, d/dlam; ``second`` maps local index pairs (0 = beta,
     1 = alpha, 2 = lam) to the nonzero second derivatives (d2/dalpha2 is 0).
     """
-    from scipy.special import digamma, polygamma  # only a fit needs these
-
     x = np.asarray(xi, dtype=float)
     log_ratio = np.log((lam - 1j * x) / lam)
     i0, i1, i2 = _expm1_moments(beta * log_ratio)
@@ -138,8 +137,8 @@ def psi_one_sided_derivatives(xi, beta: float, alpha: float, lam: float) -> tupl
     b1 = log_ratio**2 * i1
     b2 = log_ratio**3 * i2
     a = gamma(1.0 - beta) * lam**beta
-    a1 = np.log(lam) - digamma(1.0 - beta)  # d log A / dbeta
-    a2 = polygamma(1, 1.0 - beta)  # d2 log A / dbeta2
+    digamma, a2 = digamma_trigamma(1.0 - beta)  # a2 = d2 log A / dbeta2
+    a1 = np.log(lam) - digamma  # d log A / dbeta
     d_alpha_beta = -a * (a1 * b0 + b1)
     em1 = _cexpm1((beta - 1.0) * log_ratio)
     d_alpha_lam = -gamma(1.0 - beta) * lam ** (beta - 1.0) * em1

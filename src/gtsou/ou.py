@@ -347,12 +347,13 @@ def empirical_moments(values) -> dict:
     v = np.asarray(values, dtype=float)
     mean = float(v.mean())
     cen = v - mean
-    m2 = float(np.mean(cen**2))
+    c2 = cen * cen  # products, not numpy's far slower pow
+    m2 = float(np.mean(c2))
     if m2 == 0.0:
         return {"mean": mean, "variance": 0.0, "std_dev": 0.0,
                 "skewness": float("nan"), "kurtosis": float("nan")}
-    m3 = float(np.mean(cen**3))
-    m4 = float(np.mean(cen**4))
+    m3 = float(np.mean(c2 * cen))
+    m4 = float(np.mean(c2 * c2))
     return {
         "mean": mean,
         "variance": m2,

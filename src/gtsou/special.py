@@ -1,5 +1,5 @@
 """Incomplete gamma integrals extended to the negative orders the jump
-densities need."""
+densities need, and the digamma and trigamma values a fit needs."""
 
 from __future__ import annotations
 
@@ -37,6 +37,18 @@ def _gamma1pm1_over(s: float) -> float:
     for c in _LOG_GAMMA1P[::-1]:
         acc = acc * t + c
     return float(np.expm1(t * (np.euler_gamma + t * acc)) / s)
+
+
+def digamma_trigamma(x: float) -> tuple:
+    """psi(x) and psi'(x) for 0 < x <= 1: the derivatives of the series of
+    log Gamma(1+s) at s = x - 1, or below 1/2 at s = x with one recurrence
+    step psi(x) = psi(1+x) - 1/x (so |s| <= 1/2)."""
+    step = 1.0 / x if x < 0.5 else 0.0
+    t = -x if step else 1.0 - x
+    d1 = d2 = 0.0
+    for k, c in zip(range(60, 1, -1), _LOG_GAMMA1P[::-1]):
+        d1, d2 = d1 * t + k * c, d2 * t + k * (k - 1) * c
+    return float(-np.euler_gamma - t * d1 - step), float(d2 + step * step)
 
 
 def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:

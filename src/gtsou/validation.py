@@ -380,7 +380,7 @@ _GROUPS = (
     ("C5", ("C5",), check_sd_density_asymptotics, ()),
     ("C6", ("C6",), check_inversion_fidelity, ()),
     ("C7", ("C7a", "C7b"), check_simulation_convergence, ()),
-    ("C8", ("C8",), check_mle_round_trip, ("scipy.interpolate", "scipy.optimize")),
+    ("C8", ("C8",), check_mle_round_trip, ("scipy.interpolate",)),
     ("C9", ("C9",), check_frft_kernel, ()),
 )
 

@@ -451,9 +451,10 @@ def test_help_loads_no_scipy():
     assert _scipy_loaded_after(code) == []
 
 
-# Gamma is the stdlib's and the incomplete gamma at the negative orders the
-# Levy densities use is numpy: only a fit, sd_exponent_unit_form and the
-# incomplete gammas at orders s >= 0 load scipy
+# Gamma, digamma and trigamma are the package's own, and the incomplete gamma
+# at the negative orders the Levy densities use is numpy: only
+# sd_exponent_unit_form, the incomplete gammas at orders s >= 0 and the PCHIP
+# interpolants load scipy
 
 
 def test_moments_loads_no_scipy():
@@ -487,6 +488,18 @@ def test_density_loads_no_scipy(law, tmp_path):
     loaded = _scipy_loaded_after("from gtsou.cli import main\n"
                                  "assert main(['density', '--params', 'crypto', "
                                  f"'--law', {law!r}, '--out', {out!r}]) == 0")
+    assert loaded == []
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    csv_path = tmp_path / "returns.csv"
+    emit_series(csv_path, ReturnSeries(
+        sample_marginal(EQUITY_PARAMS, Marginal.GTS, 400, np.random.default_rng(23)),
+        source="synthetic"))
+    out = str(tmp_path / "trace.csv")
+    loaded = _scipy_loaded_after("from gtsou.cli import main\n"
+                                 f"assert main(['fit', {str(csv_path)!r}, '--max-iter', '3', "
+                                 f"'--out', {out!r}]) in (0, 1)")
     assert loaded == []
 
 

@@ -100,6 +100,20 @@ def test_gamma1pm1_over_matches_mpmath():
     assert worst <= 1e-15
 
 
+def test_digamma_trigamma_match_mpmath():
+    # on (0, 1], the arguments 1 - beta of a fit, with both sides of the
+    # recurrence's switch at 1/2
+    half = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+    xs = np.concatenate([np.geomspace(1e-12, 1.0, 60), np.linspace(0.01, 0.99, 99), half])
+    worst = 0.0
+    with mp.workdps(40):
+        for x in xs:
+            psi, psi1 = special.digamma_trigamma(float(x))
+            ref = mp.digamma(mp.mpf(float(x))), mp.polygamma(1, mp.mpf(float(x)))
+            worst = max(worst, *(float(abs((v - r) / r)) for v, r in zip((psi, psi1), ref)))
+    assert worst <= 1e-15
+
+
 def test_lower_plus_upper_is_complete_gamma():
     for s in (0.25, 0.5, 0.9):
         for x in (0.3, 1.0, 5.0):
