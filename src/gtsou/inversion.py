@@ -114,7 +114,7 @@ def quantile(d: DensityGrid, u):
     endpoints (the grid spans the essential support by construction).
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise ValueError("quantile requires 0 < u < 1")
     lo, hi = d.quantile_table.x[0], d.quantile_table.x[-1]
     out = d.quantile_table(np.clip(u_arr, lo, hi))

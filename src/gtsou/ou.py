@@ -57,10 +57,10 @@ class OuConfig:
             raise ValueError("lambda_rate must be positive and finite")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive and finite")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.x0 is not None and not np.isfinite(self.x0):
             raise ValueError(f"x0={self.x0} must be finite")
 
@@ -263,13 +263,12 @@ def _usable_cpus() -> int:
 
 def simulate_paths(p: GtsParams, c: OuConfig, rngs,
                    sampler: IncrementSampler | None = None) -> list:
-    """One path per generator in ``rngs``: X_i = a X_{i-1} + y_i for n_steps
-    exact draws, each path's draws read from its own generator alone.
+    """One path per generator in ``rngs``: X_i = a X_{i-1} + y_i from x0.
 
-    A stationary start runs the chain from mu through ``_start_steps(c)``
-    more exact draws and keeps the last n_steps + 1 values.  The draws are
-    stacked as (steps, paths) and summed in place, one row at a time, as
-    w[0] = y[0], w[i] = a w[i-1] + y[i]; then x[1:] = a^k x0 + w.
+    Row 0 of one (steps + 1, paths) array holds x0 (mu for a stationary
+    start), each column's rows below it that generator's exact draws y, and
+    the recursion runs in place down the rows.  A stationary start runs
+    ``_start_steps(c)`` more steps and keeps the last n_steps + 1 values.
 
     The draws run on w = min(len(rngs), usable cores) threads, the calling
     thread among them: thread k draws generators k, k + w, k + 2w, ...; numpy
@@ -287,13 +286,13 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
         raise ValueError("sampler was built for a different (params, config)")
 
     m = _start_steps(c) if c.stationary_start else 0
-    x0 = p.mu if c.stationary_start else float(c.x0)
     n = m + c.n_steps
-    w = np.empty((n, len(rngs)))
+    x = np.empty((n + 1, len(rngs)))
+    x[0] = p.mu if c.stationary_start else c.x0
 
     def draw_share(k: int, step: int) -> None:
         for j in range(k, len(rngs), step):
-            w[:, j] = sampler.draw(rngs[j], n)
+            x[1:, j] = sampler.draw(rngs[j], n)
 
     streams = {id(getattr(rng, "bit_generator", rng)) for rng in rngs}
     workers = min(len(rngs), _usable_cpus()) if len(streams) == len(rngs) else 1
@@ -308,18 +307,9 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
 
     a = c.a
     damped = np.empty(len(rngs))
-    for prev, row in zip(w, w[1:]):
-        np.multiply(prev, a, out=damped)
-        np.add(row, damped, out=row)
-
-    decayed_start = a ** np.arange(1, n + 1) * x0
-    paths = []
-    for column in w.T:
-        x = np.empty(n + 1)
-        x[0] = x0
-        np.add(decayed_start, column, out=x[1:])
-        paths.append(SamplePath(x[m:].copy(), c, c.stationary_start))
-    return paths
+    for prev, row in zip(x, x[1:]):
+        np.add(row, np.multiply(prev, a, out=damped), out=row)
+    return [SamplePath(column[m:].copy(), c, c.stationary_start) for column in x.T]
 
 
 def simulate_path(p: GtsParams, c: OuConfig,

@@ -397,6 +397,8 @@ def run_all(ids=None) -> list:
     """
     if ids is not None:
         wanted = {i.upper() for i in ids}
+        if not wanted:
+            raise ValueError("no check id given: name at least one, or omit ids to run all")
         known = {i.upper() for i in ALL_CHECK_IDS} | {row[0] for row in _GROUPS}
         unknown = wanted - known
         if unknown:

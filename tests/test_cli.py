@@ -378,6 +378,14 @@ def test_validate_unknown_id(tmp_path, monkeypatch, capsys):
     assert "unknown check ids" in err
 
 
+@pytest.mark.parametrize("ids", [",", " "])
+def test_validate_empty_id_list(ids, tmp_path, monkeypatch, capsys):
+    code, out, err = run_cli(["validate", "--ids", ids], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert "no check id given" in err
+    assert "checks passed" not in out
+
+
 def test_out_dir_absolute_path_wins(tmp_path, monkeypatch, capsys):
     target = tmp_path / "elsewhere" / "m.json"
     target.parent.mkdir()

@@ -93,6 +93,10 @@ def test_quantile_domain_and_monotonicity():
         quantile(d, 0.0)
     with pytest.raises(ValueError):
         quantile(d, 1.0)
+    with pytest.raises(ValueError):
+        quantile(d, np.nan)
+    with pytest.raises(ValueError):
+        quantile(d, [0.5, np.nan])
     u = np.linspace(1e-3, 1.0 - 1e-3, 199)
     q = quantile(d, u)
     assert np.all(np.diff(q) > 0.0)

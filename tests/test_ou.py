@@ -67,8 +67,12 @@ def test_config_validation():
         OuConfig(lambda_rate=0.3, dt=-1.0)
     with pytest.raises(ValueError):
         OuConfig(lambda_rate=0.3, dt=1.0, n_steps=0)
+    with pytest.raises(ValueError, match="n_steps"):
+        OuConfig(lambda_rate=0.3, dt=1.0, n_steps=2.5)
     with pytest.raises(ValueError):
         OuConfig(lambda_rate=0.3, dt=1.0, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        OuConfig(lambda_rate=0.3, dt=1.0, seed=1.5)
     for x0 in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="x0"):
             OuConfig(lambda_rate=0.3, dt=1.0, x0=x0)
@@ -201,7 +205,7 @@ def test_path_recursion_unrolled(sampler):
     for k in range(m + CFG.n_steps):
         expect = CFG.a * expect + y[k]
         if k + 1 >= m:
-            assert path.x[k + 1 - m] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            assert path.x[k + 1 - m] == expect
     # a fresh array: the path does not keep the start's m steps alive
     assert path.x.shape == (CFG.n_steps + 1,) and path.x.base is None
     assert not path.x.flags.writeable
@@ -209,19 +213,17 @@ def test_path_recursion_unrolled(sampler):
 
 def _scalar_recursion(s, c, rngs) -> list:
     """Bit for bit what each path must be: its generator's draws, taken in
-    list order, run through the float recursion w = a w + y[k], plus a^k x0,
-    with the first m values dropped.  a^k is numpy's power, as in the path:
-    its vector loop differs from the scalar pow by one ulp at some k."""
+    list order, run through the float recursion x = a x + y[k] from x0 (mu
+    for a stationary start), with the first m values dropped."""
     m = ceil(37.0 / (c.lambda_rate * c.dt)) if c.stationary_start else 0
-    start = s.params.mu if c.stationary_start else c.x0
-    decayed_start = c.a ** np.arange(1, m + c.n_steps + 1) * start
     paths = []
     for rng in rngs:
         y = s.draw(rng, m + c.n_steps)
-        w, expect = 0.0, [start]
+        x = s.params.mu if c.stationary_start else c.x0
+        expect = [x]
         for k in range(m + c.n_steps):
-            w = c.a * w + float(y[k])
-            expect.append(float(decayed_start[k]) + w)
+            x = c.a * x + float(y[k])
+            expect.append(x)
         paths.append(expect[m:])
     return paths
 

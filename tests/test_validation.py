@@ -45,6 +45,8 @@ def test_subcheck_selects_whole_group_case_insensitive():
 def test_unknown_id_rejected():
     with pytest.raises(ValueError, match="unknown check ids"):
         run_all(["C1", "C99"])
+    with pytest.raises(ValueError, match="no check id given"):
+        run_all([])
 
 
 def test_cheap_groups_pass():
