@@ -10,7 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-_SPLIT = 2.0**27 + 1.0  # Dekker splitting constant for 53-bit doubles
+# Dekker's splitter 2^27 + 1 for 53-bit doubles; below 1e300 no product with
+# it overflows.
+_SPLIT = 2.0**27 + 1.0
+
+
+def two_product(a, b) -> tuple:
+    """(p, err) with p = fl(a * b) and p + err = a * b exactly: Dekker's
+    two-product, which splits each factor into two 26-bit halves."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def phase_mod2(a: float, m) -> np.ndarray:
@@ -18,18 +33,10 @@ def phase_mod2(a: float, m) -> np.ndarray:
 
     A plain float product a*m keeps only ~16 digits, so for |a*m| ~ 1e5 the
     reduced phase loses ~1e-11 — visible once multiplied by pi and fed to
-    exp().  The Dekker two-product recovers the exact rounding error of the
+    exp().  ``two_product`` recovers the exact rounding error of the
     multiply, and fmod on each exact piece is itself exact.
     """
-    m = np.asarray(m, dtype=float)
-    p = a * m
-    aa = _SPLIT * a
-    a_hi = aa - (aa - a)
-    a_lo = a - a_hi
-    mm = _SPLIT * m
-    m_hi = mm - (mm - m)
-    m_lo = m - m_hi
-    err = ((a_hi * m_hi - p) + a_hi * m_lo + a_lo * m_hi) + a_lo * m_lo
+    p, err = two_product(a, np.asarray(m, dtype=float))
     return np.fmod(np.fmod(p, 2.0) + err, 2.0)
 
 

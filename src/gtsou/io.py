@@ -18,6 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .frft import two_product
+
 if TYPE_CHECKING:
     from .estimation import FitTrace
     from .inversion import DensityGrid
@@ -83,8 +85,6 @@ def ingest(path, kind: SeriesKind) -> ReturnSeries:
 
 # Longest %.15g cell: "-1.23456789012345e-100".
 _G15_WIDTH = 22
-# Dekker's splitter 2^27 + 1; below 1e280 no product with it overflows.
-_SPLIT = 134217729.0
 # Byte offsets in a cell's 28-byte source row: the four 4-digit chunks of the
 # 15 digits (byte 0 is a '0', the digits are bytes 1..15), the exponent as a
 # 4-digit chunk, then the constant word ".e-+" and a NUL word.
@@ -181,14 +181,7 @@ class _G15:
         a[~ok] = 1.0
         e = np.floor(np.log10(a)).astype(np.intp)
         b_hi, b_lo = hi[e + 281], lo[e + 281]
-        p = a * b_hi
-        t = a * _SPLIT
-        a_hi = t - (t - a)
-        a_lo = a - a_hi
-        t = b_hi * _SPLIT
-        bh_hi = t - (t - b_hi)
-        bh_lo = b_hi - bh_hi
-        err = ((a_hi * bh_hi - p) + a_hi * bh_lo + a_lo * bh_hi) + a_lo * bh_lo
+        p, err = two_product(a, b_hi)
         whole = np.floor(p)
         frac = (p - whole) + (err + a * b_lo)  # |v| 10^(14-e) = whole + frac
         up = np.rint(frac)

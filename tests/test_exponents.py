@@ -2,6 +2,8 @@
 identities tying the GTS law to its driver and to the self-decomposable law.
 """
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -164,11 +166,14 @@ def test_sd_small_xi_slope_is_mean():
 
 
 def test_increment_exponent_gts_difference():
+    # gts mode is psi(xi) - psi(a xi) to the bit, on arrays and on scalars
     c = OuConfig(lambda_rate=0.3, dt=1.0, mode=Marginal.GTS)
-    xi = np.array([-4.0, -1.0, 0.7, 5.0])
-    expected = psi_gts(xi, EQUITY_PARAMS) - psi_gts(c.a * xi, EQUITY_PARAMS)
-    np.testing.assert_allclose(increment_exponent(xi, EQUITY_PARAMS, c), expected,
-                               rtol=1e-12)
+    xi = np.array([-4.0, -1.0, 0.7, 5.0, 300.0])
+    for p in (EQUITY_PARAMS, CRYPTO_PARAMS):
+        expected = psi_gts(xi, p) - psi_gts(c.a * xi, p)
+        assert np.array_equal(increment_exponent(xi, p, c), expected)
+        scalar = increment_exponent(0.7, p, c)
+        assert type(scalar) is complex and scalar == expected[2]
 
 
 def test_increment_exponent_sd_difference():
@@ -188,6 +193,36 @@ def test_sd_exponent_blocks_match_one_block(monkeypatch):
     assert sd_exponent(xi[7], CRYPTO_PARAMS) == sd_exponent(xi[7:8], CRYPTO_PARAMS)[0]
 
 
+def test_sd_step_blocks_match_one_block(monkeypatch):
+    # more frequencies than one block: every value, and a lone scalar, equals
+    # the one-block result
+    c = OuConfig(lambda_rate=1.0, dt=1.0, mode=Marginal.SD)
+    xi = np.linspace(-40.0, 40.0, 2 * exponents._SD_BLOCK + 1000)
+    blocked = increment_exponent(xi, CRYPTO_PARAMS, c)
+    monkeypatch.setattr(exponents, "_SD_BLOCK", xi.size)
+    assert np.array_equal(blocked, increment_exponent(xi, CRYPTO_PARAMS, c))
+    scalar = increment_exponent(xi[-7], CRYPTO_PARAMS, c)
+    assert type(scalar) is complex and scalar == blocked[-7]
+
+
+@pytest.mark.parametrize("law", ["sd_exponent", "sd_step"])
+def test_sd_non_finite_frequencies_give_nan(law):
+    # nan and +-inf give nan, as psi_gts does; finite entries are unchanged
+    c = OuConfig(lambda_rate=0.5, dt=1.0, mode=Marginal.SD)
+    f = {"sd_exponent": lambda x: sd_exponent(x, EQUITY_PARAMS),
+         "sd_step": lambda x: increment_exponent(x, EQUITY_PARAMS, c)}[law]
+    with np.errstate(invalid="ignore"):
+        for v in (np.nan, np.inf, -np.inf):
+            got = f(v)
+            assert type(got) is complex and np.isnan(got.real) and np.isnan(got.imag)
+        mixed = np.array([1.5, np.nan, -2.0, np.inf, 0.0, -np.inf, 30.0])
+        got = f(mixed)
+    finite = np.isfinite(mixed)
+    assert np.all(np.isnan(got[~finite].real) & np.isnan(got[~finite].imag))
+    assert np.array_equal(got[finite], f(mixed[finite]))
+    assert got[4] == 0.0
+
+
 def test_increment_exponent_sd_matches_mpmath_at_top_frequency():
     # the crypto SD sampler at lambda = 0.1: its grid's highest frequency is
     # where the 8-node panel sees the fastest-turning integrand
@@ -203,16 +238,21 @@ def test_increment_exponent_sd_matches_mpmath_at_top_frequency():
         ref = complex(mp.quad(lambda s: _mp_psi_gts(xi * mp.exp(-s), v),
                               [0, mp.mpf(c.lambda_rate * c.dt)]))
     got = inc(np.array([xi]))[0]
-    assert abs(got - ref) <= 1e-13 * abs(ref)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
-@pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["equity", "crypto"])
-@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0, 5.0])
+# lambda dt = 0.001 for equity only: crypto's increment has no |cf| = 1e-12
+# cutoff below 1e7 at that step
+@pytest.mark.parametrize("p, lam", [
+    pytest.param(p, lam, id=f"{lam}-{name}")
+    for lam in (0.001, 0.01, 0.1, 1.0, 5.0)
+    for name, p in (("crypto", CRYPTO_PARAMS), ("equity", EQUITY_PARAMS))
+    if lam > 0.001 or name == "equity"])
 def test_increment_exponent_sd_difference_accuracy(p, lam):
     # phi(xi) - phi(a xi) against a 40-digit quadrature of its integral form,
-    # at points of a 20001-point array out to the |cf| = 1e-12 cutoff, where
-    # sd_exponent's running sum covers the most panels: within the bound
-    # increment_exponent states, 1e-13 / min(lambda dt, 1) relative
+    # at points of a 20001-point array out to the |cf| = 1e-12 cutoff: within
+    # 1e-14 relative at every step, short ones included, since the step is
+    # integrated over its own span and nothing cancels
     c = OuConfig(lambda_rate=lam, dt=1.0, mode=Marginal.SD)
     top = default_xi_max(lambda x: increment_exponent(x, p, c))
     xi = np.linspace(-top, top, 20001)
@@ -222,7 +262,32 @@ def test_increment_exponent_sd_difference_accuracy(p, lam):
         with mp.workdps(40):
             ref = complex(mp.quad(lambda s: _mp_psi_gts(xi[i] * mp.exp(-s), v),
                                   [0, mp.mpf(lam)]))
-        assert abs(got[i] - ref) <= 1e-13 / min(lam, 1.0) * abs(ref), (xi[i], got[i], ref)
+        assert abs(got[i] - ref) <= 1e-14 * abs(ref), (xi[i], got[i], ref)
+
+
+@pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["equity", "crypto"])
+def test_increment_exponent_sd_long_step_is_the_marginal(p):
+    # at lambda dt = 50 the step covers the last 37 of it, and a = e^-50
+    # leaves phi(a xi) below rounding: the step is the SD marginal exponent
+    c = OuConfig(lambda_rate=50.0, dt=1.0, mode=Marginal.SD)
+    xi = np.linspace(-80.0, 80.0, 1601)
+    np.testing.assert_allclose(increment_exponent(xi, p, c), sd_exponent(xi, p),
+                               rtol=5e-14, atol=0)
+
+
+def test_increment_exponent_sd_memory_is_bounded():
+    # one panel of one block of frequencies per psi_gts call: 2^16
+    # frequencies at lambda dt = 1 (two panels) stay well under what one call
+    # on every node would take (about 134 MB)
+    c = OuConfig(lambda_rate=1.0, dt=1.0, mode=Marginal.SD)
+    xi = np.linspace(-200.0, 200.0, 2**16)
+    tracemalloc.start()
+    try:
+        increment_exponent(xi, EQUITY_PARAMS, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_increment_plus_scaled_marginal_recomposes():

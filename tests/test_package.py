@@ -2,10 +2,16 @@
 submodule defines."""
 
 import importlib
+import importlib.util
+import os
 
+import numpy as np
 import pytest
 
 import gtsou
+
+BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "benchmarks")
 
 
 def test_every_public_name_resolves_to_its_submodule():
@@ -46,3 +52,34 @@ def test_submodules_import_from_the_package():
     assert cli.main is importlib.import_module("gtsou.cli").main
     assert estimation.fit is gtsou.fit
     assert ou.simulate_path is gtsou.simulate_path
+
+
+def test_benchmark_trace_targets_resolve():
+    # benchmarks/tracing.py wraps each (module, function) of TARGETS by name,
+    # so a dropped or renamed one would break only the benchmark's traced run
+    spec = importlib.util.spec_from_file_location(
+        "gtsou_benchmark_tracing", os.path.join(BENCHMARKS, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for mod_name, fn_name, *_ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(mod_name), fn_name, None)), \
+            f"{mod_name}.{fn_name}"
+
+
+def test_benchmark_call_shapes(tmp_path):
+    # the calls benchmarks/workloads.py makes, with the keywords it passes,
+    # on a tiny config
+    from gtsou import EQUITY_PARAMS, Marginal, cli, estimation, ou
+
+    data = ou.sample_marginal(EQUITY_PARAMS, Marginal.GTS, 200, np.random.default_rng(4))
+    init = estimation.moment_matched_init(data)
+    g = estimation.fit_grid(data, init, n_points=1024)
+    trace = estimation.fit(data, init, grad_tol=1e-3, max_iter=1, g=g)
+    assert len(trace.states) >= 1
+    c = ou.OuConfig(lambda_rate=1.0, dt=1.0, mode=Marginal.SD, n_steps=10, seed=3)
+    paths = ou.simulate_ensemble(EQUITY_PARAMS, c, 2, ou.build_increment_sampler(EQUITY_PARAMS, c))
+    assert [path.x.size for path in paths] == [11, 11]
+    out = str(tmp_path / "density.csv")
+    assert cli.main(["density", "--params", "equity", "--law", "sd", "--seed", "3",
+                     "--grid-n", "1024", "--out", out]) == 0
