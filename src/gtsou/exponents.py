@@ -198,31 +198,27 @@ def bdlp_exponent(xi, p: GtsParams):
 def sd_exponent(xi, p: GtsParams):
     """Exponent of the self-decomposable law driven by a GTS process.
 
-    Cumulative 8-node Gauss-Legendre panels between consecutive |xi|, for
-    scalars and arrays alike; negative frequencies use Hermitian symmetry.
-    The integrand psi(u)/u is analytic off the branch points +-i*lambda+-.
-    A panel [lo, hi] no wider than (lo + min(lambda+-))/2 keeps them outside
-    its Bernstein ellipse of parameter 7, so the 8-node rule errs by about
-    7^-16 ~ 3e-14 relative.  Wider gaps (a lone scalar, a coarse array) are
-    split at the graded breakpoints min(lambda+-) * (1.5^k - 1), which keep
-    every sub-panel under that bound; narrower gaps are never split.
-    Non-finite frequencies give nan, as in ``psi_gts``.
+    8-node Gauss-Legendre panels summed from the graded breakpoints
+    b_k = min(lambda+-) * (1.5^k - 1): gamma(b_k) by np.cumsum, plus one panel
+    from the breakpoint below each |xi|, so a value does not depend on the
+    array around it.  No panel [lo, hi] is wider than (lo + min(lambda+-))/2,
+    which keeps the branch points +-i*lambda+- of psi(u)/u outside its
+    Bernstein ellipse of parameter 7: the rule errs by about 7^-16 ~ 3e-14
+    relative.  Negative frequencies use Hermitian symmetry; non-finite ones
+    give nan, as in ``psi_gts``.
     """
     x, scalar = _as_array(xi)
     out = np.where(np.isfinite(x), 0j, complex(np.nan, np.nan))
     mag = np.abs(x)
     nonzero = (mag > 0.0) & (mag < np.inf)
-    pos = np.unique(mag[nonzero])
-    edges = np.concatenate(([0.0], pos))
+    pos, where = np.unique(mag[nonzero], return_inverse=True)
     lam = min(p.lambda_plus, p.lambda_minus)
-    wide = np.diff(edges) > 0.5 * (edges[:-1] + lam)
-    if wide.any():
-        k = np.arange(1, int(np.log1p(pos[-1] / lam) / np.log(1.5)) + 2)
-        breaks = lam * (1.5**k - 1.0)
-        breaks = breaks[breaks < pos[-1]]
-        split = wide[np.searchsorted(edges, breaks, side="right") - 1]
-        edges = np.union1d(edges, breaks[split])
-    lo, hi = edges[:-1], edges[1:]
+    top = pos.max(initial=0.0)
+    breaks = lam * (1.5 ** np.arange(int(np.log1p(top / lam) / np.log(1.5)) + 2) - 1.0)
+    breaks = breaks[:max(1, np.searchsorted(breaks, top))]  # 0 and those below top
+    below = np.searchsorted(breaks, pos, side="right") - 1
+    lo = np.concatenate((breaks[:-1], breaks[below]))
+    hi = np.concatenate((breaks[1:], pos))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     panel = np.empty(half.size, dtype=complex)
@@ -232,27 +228,33 @@ def sd_exponent(xi, p: GtsParams):
         u = mid[b, None] + half[b, None] * _GL8_NODES[None, :]
         vals = psi_gts(u.ravel(), p).reshape(u.shape) / u
         panel[b] = (vals * _GL8_WEIGHTS[None, :]).sum(axis=1) * half[b]
-    gamma_edges = np.cumsum(panel)  # gamma at edges[1:]
-    filled = gamma_edges[np.searchsorted(edges, mag[nonzero]) - 1]
+    at_breaks = np.concatenate(([0j], np.cumsum(panel[:breaks.size - 1])))
+    filled = (at_breaks[below] + panel[breaks.size - 1:])[where]
     out[nonzero] = np.where(x[nonzero] < 0.0, np.conj(filled), filled)
     return complex(out) if scalar else out
 
 
 def sd_step_exponent(xi, p: GtsParams, span: float):
     """int_0^T psi_gts(xi e^-s) ds, T = ``span``: sd_exponent(xi) -
-    sd_exponent(e^-T xi) without its cancellation.  The integrand is analytic
-    for |Im s| < pi/2 whatever xi, so 8-node Gauss-Legendre panels of width
-    <= 1/2 err by about 12.6^-16 ~ 2e-18.  Each psi_gts call: one panel."""
+    sd_exponent(e^-T xi), a difference that cancels as 1/T below T = 1.
+    There 8-node Gauss-Legendre panels of width <= 1/2 in s integrate the
+    step over its own span (the integrand is analytic for |Im s| < pi/2
+    whatever xi: error ~ 12.6^-16), one panel per psi_gts call, with
+    Hermitian symmetry.  Longer steps take the difference: 16 psi_gts nodes
+    per frequency, where panels would take 16 T."""
     x, scalar = _as_array(xi)
-    flat = x.ravel()
+    if span > 1.0:
+        return sd_exponent(x, p) - sd_exponent(np.exp(-span) * x, p)
+    mag, where = np.unique(np.abs(x.ravel()), return_inverse=True)
     n = max(1, ceil(2.0 * span))
     nodes = span / n * (np.arange(n)[:, None] + 0.5 + 0.5 * _GL8_NODES)
-    out = np.zeros(flat.size, dtype=complex)
-    for start in range(0, flat.size, _SD_BLOCK):
+    out = np.zeros(mag.size, dtype=complex)
+    for start in range(0, mag.size, _SD_BLOCK):
         b = slice(start, start + _SD_BLOCK)
         for scale in np.exp(-nodes):
-            out[b] += (psi_gts(np.multiply.outer(flat[b], scale), p) * _GL8_WEIGHTS).sum(axis=1)
-    out = 0.5 * span / n * out.reshape(x.shape)
+            out[b] += (psi_gts(np.multiply.outer(mag[b], scale), p) * _GL8_WEIGHTS).sum(axis=1)
+    out = (0.5 * span / n * out)[where].reshape(x.shape)
+    out = np.where(x < 0.0, np.conj(out), out)
     return complex(out) if scalar else out
 
 

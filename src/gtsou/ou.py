@@ -95,9 +95,8 @@ def marginal_exponent(p: GtsParams, mode: Marginal):
 
 def increment_exponent(xi, p: GtsParams, c: OuConfig):
     """Log E[e^{i xi Y}] = phi(xi) - phi(a xi) for one step of size dt, with
-    phi = ``marginal_exponent``: psi_gts's difference in gts mode; in SD mode
-    ``sd_step_exponent`` over min(lambda dt, ``_MAX_SPAN``), which does not
-    cancel (the rest is damped by e^-37 < 2^-53, as in the sampler)."""
+    phi = ``marginal_exponent``; in SD mode ``sd_step_exponent`` over
+    min(lambda dt, ``_MAX_SPAN``), as in the sampler (e^-37 < 2^-53)."""
     if c.mode is Marginal.GTS:
         return psi_gts(xi, p) - psi_gts(c.a * np.asarray(xi, dtype=float), p)
     return sd_step_exponent(xi, p, min(c.lambda_rate * c.dt, _MAX_SPAN))

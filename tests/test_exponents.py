@@ -191,6 +191,24 @@ def test_sd_exponent_blocks_match_one_block(monkeypatch):
     monkeypatch.setattr(exponents, "_SD_BLOCK", xi.size)
     assert np.array_equal(blocked, sd_exponent(xi, CRYPTO_PARAMS))
     assert sd_exponent(xi[7], CRYPTO_PARAMS) == sd_exponent(xi[7:8], CRYPTO_PARAMS)[0]
+    # each value sums the panels up to its own frequency only
+    assert sd_exponent(xi[7], CRYPTO_PARAMS) == blocked[7]
+
+
+@pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["equity", "crypto"])
+def test_sd_exponent_long_array_accuracy(p):
+    # a 20001-point array out to the |cf| = 1e-12 cutoff against a 20-digit
+    # quadrature: within 1e-14 relative, as each value sums a few dozen
+    # panels (one running sum over every gap between neighbours erred 1e-13)
+    top = default_xi_max(lambda x: sd_exponent(x, p))
+    xi = np.linspace(-top, top, 20001)
+    got = sd_exponent(xi, p)
+    v = [mp.mpf(t) for t in p.as_vector()]
+    for i in (0, 2000, 5000, 9990, 10003, 11000, 13000, 16000, 19000, 20000):
+        with mp.workdps(20):
+            ref = complex(mp.quad(lambda s: _mp_psi_gts(xi[i] * mp.exp(-s), v),
+                                  [0, 10, 40, 80]))
+        assert abs(got[i] - ref) <= 1e-14 * abs(ref), (xi[i], got[i], ref)
 
 
 def test_sd_step_blocks_match_one_block(monkeypatch):
@@ -273,6 +291,24 @@ def test_increment_exponent_sd_long_step_is_the_marginal(p):
     xi = np.linspace(-80.0, 80.0, 1601)
     np.testing.assert_allclose(increment_exponent(xi, p, c), sd_exponent(xi, p),
                                rtol=5e-14, atol=0)
+
+
+def test_increment_exponent_sd_cost_is_bounded(monkeypatch):
+    # about 16 psi_gts nodes per frequency whatever the step: panels in s up
+    # to lambda dt = 1, the difference of two sd_exponent calls beyond
+    points = []
+    psi = exponents.psi_gts
+
+    def counted(x, p):
+        points.append(np.size(x))
+        return psi(x, p)
+
+    monkeypatch.setattr(exponents, "psi_gts", counted)
+    xi = np.linspace(0.0, 2000.0, 2001)
+    for lam in (0.1, 1.0, 5.0, 37.0, 100.0):
+        points.clear()
+        increment_exponent(xi, EQUITY_PARAMS, OuConfig(lambda_rate=lam, dt=1.0, mode=Marginal.SD))
+        assert sum(points) <= 17 * xi.size, lam
 
 
 def test_increment_exponent_sd_memory_is_bounded():

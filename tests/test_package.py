@@ -4,8 +4,8 @@ submodule defines."""
 import importlib
 import importlib.util
 import os
+import sys
 
-import numpy as np
 import pytest
 
 import gtsou
@@ -54,32 +54,33 @@ def test_submodules_import_from_the_package():
     assert ou.simulate_path is gtsou.simulate_path
 
 
+def _load_benchmark_module(name):
+    # by path under a name of its own: benchmarks/ is not a package, and must
+    # not shadow anything on sys.path (dataclasses look the module up there)
+    spec = importlib.util.spec_from_file_location(
+        f"gtsou_benchmark_{name}", os.path.join(BENCHMARKS, f"{name}.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_targets_resolve():
     # benchmarks/tracing.py wraps each (module, function) of TARGETS by name,
     # so a dropped or renamed one would break only the benchmark's traced run
-    spec = importlib.util.spec_from_file_location(
-        "gtsou_benchmark_tracing", os.path.join(BENCHMARKS, "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_benchmark_module("tracing")
     assert tracing.TARGETS
     for mod_name, fn_name, *_ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(mod_name), fn_name, None)), \
             f"{mod_name}.{fn_name}"
 
 
-def test_benchmark_call_shapes(tmp_path):
-    # the calls benchmarks/workloads.py makes, with the keywords it passes,
-    # on a tiny config
-    from gtsou import EQUITY_PARAMS, Marginal, cli, estimation, ou
-
-    data = ou.sample_marginal(EQUITY_PARAMS, Marginal.GTS, 200, np.random.default_rng(4))
-    init = estimation.moment_matched_init(data)
-    g = estimation.fit_grid(data, init, n_points=1024)
-    trace = estimation.fit(data, init, grad_tol=1e-3, max_iter=1, g=g)
-    assert len(trace.states) >= 1
-    c = ou.OuConfig(lambda_rate=1.0, dt=1.0, mode=Marginal.SD, n_steps=10, seed=3)
-    paths = ou.simulate_ensemble(EQUITY_PARAMS, c, 2, ou.build_increment_sampler(EQUITY_PARAMS, c))
-    assert [path.x.size for path in paths] == [11, 11]
-    out = str(tmp_path / "density.csv")
-    assert cli.main(["density", "--params", "equity", "--law", "sd", "--seed", "3",
-                     "--grid-n", "1024", "--out", out]) == 0
+@pytest.mark.parametrize("name", ["fit", "simulate_density"])
+def test_benchmark_workloads_run_at_smoke_size(name, tmp_path):
+    # every operation of benchmarks/workloads.py, at its smoke size: a call
+    # whose name, keyword or argument the library no longer takes raises
+    workloads = _load_benchmark_module("workloads")
+    records, _ = workloads.run_pass(workloads.WORKLOADS[name](3, True, str(tmp_path)))
+    assert records
+    assert [r.error for r in records] == [None] * len(records)
+    if name != "fit":  # the smoke fit stops after two iterations, unconverged
+        assert [r.check for r in records] == [None] * len(records)
