@@ -111,11 +111,29 @@ def _density_dispatch(law: str, p: GtsParams, c: OuConfig | None):
     raise ValueError(f"unknown law {law!r}")
 
 
+def _zero_beta_decay(law: str, p: GtsParams, c: OuConfig | None) -> str:
+    """How |cf| of a law with beta+ = beta- = 0 behaves as |xi| grows: the
+    gamma-type jumps leave it a power of |xi| or a positive limit."""
+    from .cumulants import Marginal
+
+    d = p.alpha_plus + p.alpha_minus
+    if law == "gts":
+        how = f"the GTS |cf| falls only like |xi|^-{d:g}"
+    elif law == "bdlp":
+        how = f"the BDLP |cf| tends to e^-{d:g} (compound Poisson jumps)"
+    elif c.mode is Marginal.SD:
+        how = f"the SD step's |cf| falls only like |xi|^-{d * c.lambda_rate * c.dt:g}"
+    else:
+        how = f"the GTS step's |cf| tends to e^-{d * c.lambda_rate * c.dt:g}"
+    return (f"at beta+ = beta- = 0 {how}; try --law sd, whose |cf| falls faster "
+            "than any power of |xi|")
+
+
 def cmd_density(args) -> int:
     import numpy as np
 
     from .cumulants import Marginal
-    from .inversion import default_grid, invert_cf
+    from .inversion import NormalizationError, default_grid, invert_cf
     from .io import write_density_csv, write_exponent_csv
     from .ou import OuConfig
 
@@ -127,9 +145,14 @@ def cmd_density(args) -> int:
     if not sd > 0.0:  # no jumps: searching a frequency cutoff would run to 1e7
         raise ValueError("degenerate parameters: zero variance")
 
-    g = default_grid(exponent, mean, sd, n_points=args.grid_n, span=args.span,
-                     xi_max=args.xi_max)
-    grid = invert_cf(exponent, g)
+    try:
+        g = default_grid(exponent, mean, sd, n_points=args.grid_n, span=args.span,
+                         xi_max=args.xi_max)
+        grid = invert_cf(exponent, g)
+    except NormalizationError as exc:
+        if args.law == "sd" or p.beta_plus != 0.0 or p.beta_minus != 0.0:
+            raise
+        raise NormalizationError(f"{exc}; {_zero_beta_decay(args.law, p, c)}") from exc
 
     out = _out_path(args.out, f"density_{args.law}.csv")
     write_density_csv(out, grid, levy_fn)

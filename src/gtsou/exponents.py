@@ -11,10 +11,12 @@ from .params import PARAM_NAMES, GtsParams
 from .special import digamma_trigamma
 
 # sd_exponent_unit_form's switch to its log branch: below this stability index
-# its integrand Gamma(-beta)*((lam-i*xi*u)^beta-lam^beta)/u cancels
-# catastrophically, so it integrates the beta = 0 limit
-# -alpha*log(1-i*xi*u/lam)/u instead.
-BETA_LOG_BRANCH = 1e-6
+# its integrand alpha*Gamma(-beta)*((lam-i*xi*u)^beta-lam^beta)/u cancels (an
+# error of about 5e-10 at beta = 1e-6, xi = 30), so it integrates three terms of
+# that product's series in beta, -alpha*Gamma(1-beta)*lam^beta*L*(1 + (beta*L/2)
+# *(1 + beta*L/3))/u with L = log(1-i*xi*u/lam), whose next term is
+# O(beta^3 L^4).  The beta = 0 limit alone would err O(beta).
+BETA_LOG_BRANCH = 1e-5
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # Panels (sd_exponent) or frequencies (sd_step_exponent) per block: blocks
@@ -263,7 +265,7 @@ def sd_exponent_unit_form(xi, p: GtsParams):
 
         gamma+(xi) = alpha * Gamma(-beta) * int_0^1 ((lam - i*xi*u)^beta - lam^beta)/u du
 
-    (log-branch below beta < 1e-6), combined as mu*xi*i + gamma+(xi) + gamma-(-xi).
+    (log-branch series below beta < 1e-5), combined as mu*xi*i + gamma+(xi) + gamma-(-xi).
     Kept as an independent evaluation route; scalar xi only.
     """
     from scipy.integrate import quad
@@ -274,14 +276,16 @@ def sd_exponent_unit_form(xi, p: GtsParams):
         if x == 0.0 or alpha == 0.0:
             return 0.0 + 0.0j
         if beta < BETA_LOG_BRANCH:
+            c = -alpha * gamma(1.0 - beta) * lam**beta
 
             def f(u):
                 if u == 0.0:
-                    return 1j * x / lam * alpha  # limit of -alpha*log(1 - i*x*u/lam)/u
-                return -alpha * np.log((lam - 1j * x * u) / lam) / u
+                    return c * (-1j * x / lam)  # limit of c*L/u
+                log1 = np.log((lam - 1j * x * u) / lam)
+                return c * log1 * (1.0 + 0.5 * beta * log1 * (1.0 + beta * log1 / 3.0)) / u
 
         else:
-            # reached only for beta >= BETA_LOG_BRANCH = 1e-6, clear of the
+            # reached only for beta >= BETA_LOG_BRANCH = 1e-5, clear of the
             # pole at 0 where math.gamma raises
             c = alpha * gamma(-beta)
 

@@ -261,8 +261,8 @@ def default_xi_max(exponent) -> float:
     of the bracket (at most 60 steps), after which no step could move the
     result.  That is 59-63 probes for the presets' GTS, SD and BDLP laws,
     and 61-71 for their increments at lambda dt = 0.1 and 1.
-    Raises NormalizationError if the doubling passes 1e7 before |cf| falls
-    below 1e-12.
+    Raises NormalizationError, quoting |cf| at 1e7, if the doubling passes
+    1e7 before |cf| falls below 1e-12.
     """
     lo, hi = 0.0, 1.0
     while np.real(exponent(hi)) > _TAIL_LOG:
@@ -270,7 +270,8 @@ def default_xi_max(exponent) -> float:
         if hi > _XI_CAP:
             raise NormalizationError(
                 "characteristic function decays too slowly: no usable "
-                f"frequency cutoff below {_XI_CAP:g}"
+                f"frequency cutoff below {_XI_CAP:g} (|cf| = "
+                f"{np.exp(np.real(exponent(_XI_CAP))):.3g} there)"
             )
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -103,14 +103,10 @@ def increment_exponent(xi, p: GtsParams, c: OuConfig):
 
 
 def increment_cumulants(p: GtsParams, c: OuConfig, kmax: int = 4) -> Cumulants:
-    """kappa_k of one increment: kappa_k(marginal) * (1 - a^k)."""
-    base = cumulants(p, kmax)
-    damp = [1.0 - c.a**k for k in range(1, kmax + 1)]
-    if c.mode is Marginal.GTS:
-        vals = [base[k] * damp[k - 1] for k in range(1, kmax + 1)]
-    else:
-        vals = [base[k] / k * damp[k - 1] for k in range(1, kmax + 1)]
-    return Cumulants(tuple(vals))
+    """kappa_k of one increment: kappa_k(marginal) * (1 - a^k), SD's = GTS's / k."""
+    base, sd = cumulants(p, kmax), c.mode is Marginal.SD
+    return Cumulants(tuple(base[k] / (k if sd else 1) * (1.0 - c.a**k)
+                           for k in range(1, kmax + 1)))
 
 
 def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -264,13 +260,13 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
     the recursion runs in place down the rows.  A stationary start runs
     ``_start_steps(c)`` more steps and keeps the last n_steps + 1 values.
 
-    The draws run on w = min(len(rngs), usable cores) threads, the calling
-    thread among them: thread k draws generators k, k + w, k + 2w, ...; numpy
-    releases the GIL in its random fills and float loops.  A path reads its
-    own generator alone, so the paths do not depend on the core count.  A
-    generator listed twice (or two sharing one bit generator) draws its paths
-    in list order, each from where the previous one stopped, so such a list
-    is drawn on the calling thread alone.
+    The draws run on w = min(len(rngs), usable cores) threads: share k draws
+    generators k, k + w, ..., share 0 on the calling thread and shares 1 to
+    w - 1 on a pool, which starts no thread when w = 1; numpy releases the GIL
+    in its random fills and float loops.  A path reads its own generator
+    alone, so the paths do not depend on the core count.  A generator listed
+    twice (or two sharing one bit generator) draws its paths in list order,
+    each from where the previous one stopped, so such a list has w = 1.
     """
     if len(rngs) == 0:
         raise ValueError("rngs is an empty list: give one generator per path")
@@ -284,20 +280,16 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
     x = np.empty((n + 1, len(rngs)))
     x[0] = p.mu if c.stationary_start else c.x0
 
-    def draw_share(k: int, step: int) -> None:
-        for j in range(k, len(rngs), step):
+    def draw_share(k: int) -> None:
+        for j in range(k, len(rngs), workers):
             x[1:, j] = sampler.draw(rngs[j], n)
 
     streams = {id(getattr(rng, "bit_generator", rng)) for rng in rngs}
     workers = min(len(rngs), _usable_cpus()) if len(streams) == len(rngs) else 1
-    if workers > 1:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            shares = [pool.submit(draw_share, k, workers) for k in range(1, workers)]
-            draw_share(0, workers)
-            for share in shares:
-                share.result()
-    else:
-        draw_share(0, 1)
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        shares = pool.map(draw_share, range(1, workers))
+        draw_share(0)
+        list(shares)  # re-raises a worker's exception
 
     a = c.a
     damped = np.empty(len(rngs))

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -248,6 +249,30 @@ def test_density_degenerate_marginal_names_the_cause(law, tmp_path, monkeypatch,
                            tmp_path, monkeypatch, capsys)
     assert code == 1
     assert "degenerate parameters: zero variance" in err
+
+
+@pytest.mark.parametrize("law, mode, how", [
+    ("gts", "sd", r"the GTS \|cf\| falls only like \|xi\|\^-0.9;"),
+    ("bdlp", "sd", r"the BDLP \|cf\| tends to e\^-0.9 "),
+    ("increment", "sd", r"the SD step's \|cf\| falls only like \|xi\|\^-0.9;"),
+    ("increment", "gts", r"the GTS step's \|cf\| tends to e\^-0.9;"),
+])
+def test_density_zero_beta_names_the_slow_decay(law, mode, how, tmp_path, monkeypatch,
+                                                capsys):
+    # bilateral gamma (beta+ = beta- = 0): no 1e-12 cutoff exists below 1e7, and
+    # the error says why and points to the SD law, which has one
+    path = tmp_path / "gamma.json"
+    GtsParams(mu=0.0, beta_plus=0.0, beta_minus=0.0, alpha_plus=0.5, alpha_minus=0.4,
+              lambda_plus=0.8, lambda_minus=0.7).save(path)
+    code, _, err = run_cli(["density", "--params", str(path), "--law", law,
+                            "--mode", mode], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert re.search(r"no usable frequency cutoff below 1e\+07 \(\|cf\| = [0-9.e-]+ "
+                     r"there\); at beta\+ = beta- = 0 " + how, err)
+    assert "try --law sd" in err
+    code, _, _ = run_cli(["density", "--params", str(path), "--law", "sd"],
+                         tmp_path, monkeypatch, capsys)
+    assert code == 0
 
 
 def test_density_seed_is_ignored(tmp_path, monkeypatch, capsys):

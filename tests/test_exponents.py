@@ -125,6 +125,19 @@ def test_sd_exponent_two_routes_agree():
     np.testing.assert_allclose(sd_exponent(grid, CRYPTO_PARAMS), unit, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-9, 5e-7, 9e-7, 1e-6, 2e-6, 9e-6, 1e-5, 2e-5,
+                                  1e-3, 0.3])
+def test_sd_exponent_unit_form_at_small_beta(beta):
+    # around the unit form's switch to its log branch: the beta = 0 limit
+    # alone erred O(beta) below it (5.6e-6 at beta = 9e-7, xi = 30), and the
+    # naive product cancels just above it
+    for base in (EQUITY_PARAMS, CRYPTO_PARAMS):
+        p = base.replace(beta_plus=beta, beta_minus=beta)
+        for xi in (0.5, 3.0, 30.0, -45.0):
+            assert sd_exponent_unit_form(xi, p) == pytest.approx(
+                complex(sd_exponent(xi, p)), abs=1e-10)
+
+
 def test_sd_exponent_far_scalar():
     # a lone scalar far past the cutoff is finite and takes the array route
     for p in (EQUITY_PARAMS, CRYPTO_PARAMS):
@@ -281,6 +294,22 @@ def test_increment_exponent_sd_difference_accuracy(p, lam):
             ref = complex(mp.quad(lambda s: _mp_psi_gts(xi[i] * mp.exp(-s), v),
                                   [0, mp.mpf(lam)]))
         assert abs(got[i] - ref) <= 1e-14 * abs(ref), (xi[i], got[i], ref)
+
+
+@pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["equity", "crypto"])
+def test_increment_exponent_sd_longest_span_accuracy(p):
+    # the difference route at its longest span, lambda dt = 37 (ou._MAX_SPAN),
+    # against the same 40-digit integral, split where psi(xi e^-s) turns: near
+    # the origin, where the step is smallest, and at the cutoff
+    c = OuConfig(lambda_rate=37.0, dt=1.0, mode=Marginal.SD)
+    top = default_xi_max(lambda x: increment_exponent(x, p, c))
+    xi = np.linspace(-top, top, 20001)[[9990, 10003, 20000]]
+    got = increment_exponent(xi, p, c)
+    v = [mp.mpf(t) for t in p.as_vector()]
+    for x, value in zip(xi, got):
+        with mp.workdps(40):
+            ref = complex(mp.quad(lambda s: _mp_psi_gts(x * mp.exp(-s), v), [0, 1, 5, 37]))
+        assert abs(value - ref) <= 1e-14 * abs(ref), (x, value, ref)
 
 
 @pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["equity", "crypto"])

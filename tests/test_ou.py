@@ -264,7 +264,35 @@ def test_paths_do_not_depend_on_core_count(n_paths, monkeypatch):
         paths = simulate_paths(EQUITY_PARAMS, POOL_CFG, rngs, s)
         for path, values in zip(paths, expect, strict=True):
             assert np.array_equal(path.x, values)
-    assert pools == [min(n_paths, cores) - 1 for cores in (1, 2, 3) if min(n_paths, cores) > 1]
+    assert pools == [max(1, min(n_paths, cores) - 1) for cores in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("rngs", [[np.random.default_rng(0)],
+                                  [np.random.default_rng(1)] * 2])
+def test_one_worker_draws_on_the_calling_thread(rngs, monkeypatch):
+    # one path, or a repeated generator, makes w = 1: the pool gets no share
+    # and so starts no thread
+    monkeypatch.setattr(ou, "_usable_cpus", lambda: 2)
+    base = build_increment_sampler(EQUITY_PARAMS, POOL_CFG)
+    callers = []
+
+    class Recording:
+        params, config = base.params, base.config
+
+        def draw(self, rng, size):
+            callers.append(threading.current_thread())
+            return base.draw(rng, size)
+
+    started, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    simulate_paths(EQUITY_PARAMS, POOL_CFG, rngs, Recording())
+    assert callers == [threading.current_thread()] * len(rngs)
+    assert started == []
 
 
 def test_repeated_generator_draws_in_list_order(monkeypatch):
