@@ -172,12 +172,10 @@ def cmd_simulate(args) -> int:
     from .ou import OuConfig, ensemble_moments, simulate_ensemble
 
     p = _load_params(args.params)
-    if args.n_paths < 1:
-        raise ValueError("--n-paths must be >= 1")
     c = OuConfig(lambda_rate=args.ou_lambda, dt=args.dt, mode=Marginal(args.mode),
                  x0=args.x0, n_steps=args.n_steps, seed=args.seed)
     paths = simulate_ensemble(p, c, args.n_paths)
-    report = ensemble_moments(paths, p, c)
+    report = ensemble_moments(paths, p)
 
     out = _out_path(args.out, "paths.csv")
     write_paths_csv(out, paths)

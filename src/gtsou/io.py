@@ -56,7 +56,7 @@ def ingest(path, kind: SeriesKind) -> ReturnSeries:
     offending line number.
     """
     raw: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             cells = [c.strip() for c in row if c.strip()]
             if not cells:

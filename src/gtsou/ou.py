@@ -80,7 +80,6 @@ class SamplePath:
 
     x: np.ndarray
     config: OuConfig
-    stationary_start: bool
 
     def __post_init__(self):
         self.x.setflags(write=False)
@@ -295,7 +294,7 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
     damped = np.empty(len(rngs))
     for prev, row in zip(x, x[1:]):
         np.add(row, np.multiply(prev, a, out=damped), out=row)
-    return [SamplePath(column[m:].copy(), c, c.stationary_start) for column in x.T]
+    return [SamplePath(column[m:].copy(), c) for column in x.T]
 
 
 def simulate_path(p: GtsParams, c: OuConfig,
@@ -379,36 +378,23 @@ def burn_in_length(c: OuConfig) -> int:
     return int(max(100.0, np.ceil(10.0 / (c.lambda_rate * c.dt))))
 
 
-def ensemble_moments(paths, p: GtsParams, c: OuConfig | None = None) -> MomentReport:
-    """Sample moments of the pooled post-burn-in observations of one or more
-    paths against the exact stationary values (pooling is valid: every
-    retained observation follows the stationary law).  A zero-variance
-    sample is flagged degenerate: its shape indicators and their errors are
-    NaN."""
+def ensemble_moments(paths, p: GtsParams) -> MomentReport:
+    """Sample moments of the pooled observations of one or more paths, each
+    cut at ``burn_in_length`` of its own config, against the exact stationary
+    values of their shared marginal mode (pooling is valid: every retained
+    observation follows that stationary law).  A zero-variance sample is
+    flagged degenerate: its shape indicators and their errors are NaN."""
     if not paths:
         raise ValueError("no paths given")
-    if c is None:
-        c = paths[0].config
-    pooled = []
-    for path in paths:
-        burn = 0 if path.stationary_start else burn_in_length(c)
-        pooled.append(path.x[burn:])
-    values = np.concatenate(pooled)
+    if len({path.config.mode for path in paths}) > 1:
+        raise ValueError("paths mix the gts and sd marginal modes; pool one mode at a time")
+    values = np.concatenate([path.x[burn_in_length(path.config):] for path in paths])
     if values.size < 100:
         raise ValueError(
             f"only {values.size} observations remain after burn-in; need at least 100"
         )
-    return _report_from_values(values, p, c)
-
-
-def path_moments(path: SamplePath, p: GtsParams, c: OuConfig | None = None) -> MomentReport:
-    """``ensemble_moments`` of a single path."""
-    return ensemble_moments([path], p, c)
-
-
-def _report_from_values(values: np.ndarray, p: GtsParams, c: OuConfig) -> MomentReport:
     emp = empirical_moments(values)
-    theo = stationary_moments(p, c.mode)
+    theo = stationary_moments(p, paths[0].config.mode)
     exact = theo.as_dict()
     errors = {
         k: 100.0 * (emp[k] - exact[k]) / abs(exact[k]) if np.isfinite(emp[k]) else float("nan")
@@ -421,3 +407,8 @@ def _report_from_values(values: np.ndarray, p: GtsParams, c: OuConfig) -> Moment
         degenerate=not np.isfinite(emp["skewness"]),
         n_observations=int(values.size),
     )
+
+
+def path_moments(path: SamplePath, p: GtsParams) -> MomentReport:
+    """``ensemble_moments`` of a single path."""
+    return ensemble_moments([path], p)

@@ -83,10 +83,18 @@ class GtsParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GtsParams":
+        if not isinstance(d, dict):
+            raise ValueError(f"parameter file must hold a JSON object, got {type(d).__name__}")
         missing = [n for n in PARAM_NAMES if n not in d]
         if missing:
             raise ValueError(f"parameter file is missing fields: {', '.join(missing)}")
-        return cls(**{n: float(d[n]) for n in PARAM_NAMES})
+        values = {}
+        for n in PARAM_NAMES:
+            try:
+                values[n] = float(d[n])
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"parameter {n}={d[n]!r} is not a number") from None
+        return cls(**values)
 
     def replace(self, **kw) -> "GtsParams":
         d = self.to_dict()
@@ -102,7 +110,7 @@ class GtsParams:
 
     @classmethod
     def load(cls, path) -> "GtsParams":
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return cls.from_dict(json.load(fh))
 
 

@@ -332,6 +332,17 @@ def test_simulate_rejects_zero_paths(tmp_path, monkeypatch, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content", [5, {**EQUITY_PARAMS.to_dict(), "mu": None}],
+                         ids=["number", "null-field"])
+def test_malformed_params_file_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys,
+                                                           content):
+    (tmp_path / "bad.json").write_text(json.dumps(content))
+    code, _, err = run_cli(["moments", "--params", str(tmp_path / "bad.json")],
+                           tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert err.startswith("error:") and "parameter" in err
+
+
 @pytest.mark.parametrize("x0", ["nan", "inf"])
 def test_simulate_rejects_nonfinite_x0(tmp_path, monkeypatch, capsys, x0):
     code, _, err = run_cli(

@@ -1,6 +1,9 @@
 """Typed errors at the library's input checks: each raises its exception type
 with a message that names the cause."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from gtsou import (
     EQUITY_PARAMS,
     GridSpec,
     GtsParams,
+    Marginal,
     OuConfig,
     SamplePath,
     SeriesKind,
@@ -27,8 +31,8 @@ def _csv(tmp_path, text):
     return path
 
 
-def _path(n):
-    return SamplePath(np.zeros(n), CFG, False)
+def _path(n, mode=Marginal.SD):
+    return SamplePath(np.zeros(n), replace(CFG, mode=mode))
 
 
 CASES = [
@@ -49,6 +53,17 @@ CASES = [
     ("write-unequal-paths", lambda t: write_paths_csv(t / "p.csv", [_path(3), _path(4)]),
      r"paths must share a common length"),
     ("moments-no-paths", lambda _: ensemble_moments([], EQUITY_PARAMS), r"no paths given"),
+    ("moments-mixed-modes",
+     lambda _: ensemble_moments([_path(200, Marginal.GTS), _path(200)], EQUITY_PARAMS),
+     r"paths mix the gts and sd marginal modes"),
+    ("params-not-an-object", lambda _: GtsParams.from_dict(5),
+     r"must hold a JSON object, got int"),
+    ("params-null-field", lambda _: GtsParams.from_dict({**FIELDS, "mu": None}),
+     r"parameter mu=None is not a number"),
+    ("params-list-field", lambda _: GtsParams.from_dict({**FIELDS, "alpha_minus": [1.0]}),
+     r"parameter alpha_minus=\[1.0\] is not a number"),
+    ("params-text-field", lambda _: GtsParams.from_dict({**FIELDS, "beta_plus": "abc"}),
+     r"parameter beta_plus='abc' is not a number"),
     ("params-non-finite", lambda _: GtsParams(**{**FIELDS, "alpha_plus": np.nan}),
      r"must all be finite"),
     ("params-beta-negative", lambda _: GtsParams(**{**FIELDS, "beta_minus": -0.1}),
@@ -76,3 +91,17 @@ def test_input_check_raises_value_error_naming_its_cause(call, match, tmp_path):
 def test_ingest_skips_blank_lines(tmp_path):
     series = ingest(_csv(tmp_path, "0.5\n\n  \n-1.25\n"), SeriesKind.RETURNS)
     np.testing.assert_array_equal(series.values, [0.5, -1.25])
+
+
+def test_ingest_reads_past_a_byte_order_mark(tmp_path):
+    plain = ingest(_csv(tmp_path, "100\n101\n102.5\n"), SeriesKind.PRICES)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf100\n101\n102.5\n")
+    np.testing.assert_array_equal(ingest(path, SeriesKind.PRICES).values, plain.values)
+    assert plain.values.size == 2
+
+
+def test_params_file_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(FIELDS).encode())
+    assert GtsParams.load(path) == EQUITY_PARAMS

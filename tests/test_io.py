@@ -94,7 +94,7 @@ def test_exponent_csv_matches_per_cell_writer(tmp_path):
 def test_paths_csv_matches_per_cell_writer(tmp_path):
     rng = np.random.default_rng(5)
     c = OuConfig(lambda_rate=0.5, dt=1.0, n_steps=40)
-    paths = [SamplePath(rng.standard_normal(41) * 10.0**k, c, True) for k in (-9, 0, 9)]
+    paths = [SamplePath(rng.standard_normal(41) * 10.0**k, c) for k in (-9, 0, 9)]
     rows = [[str(k)] + [_cell(sp.x[k]) for sp in paths] for k in range(41)]
     _reference(tmp_path / "ref.csv", ["step", "path_0", "path_1", "path_2"], rows)
 
@@ -229,7 +229,7 @@ def test_density_csv_across_blocks(tmp_path):
 def test_paths_csv_across_blocks(tmp_path):
     rng = np.random.default_rng(11)
     c = OuConfig(lambda_rate=0.5, dt=1.0, n_steps=40)
-    paths = [SamplePath(rng.standard_normal(41) * 10.0 ** rng.integers(-6, 7), c, True)
+    paths = [SamplePath(rng.standard_normal(41) * 10.0 ** rng.integers(-6, 7), c)
              for _ in range(300)]
     assert io._BLOCK_CELLS // 301 < 41  # one block holds fewer rows than the table
     rows = [[str(k)] + [_cell(sp.x[k]) for sp in paths] for k in range(41)]

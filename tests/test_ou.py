@@ -17,6 +17,7 @@ from gtsou import (
     IncrementSampler,
     Marginal,
     OuConfig,
+    SamplePath,
     build_increment_sampler,
     burn_in_length,
     default_grid,
@@ -238,7 +239,7 @@ def test_paths_equal_scalar_recursion(lam, mode, x0):
     expect = _scalar_recursion(s, c, [np.random.default_rng(k) for k in (3, 4)])
     for path, values in zip(paths, expect, strict=True):
         assert np.array_equal(path.x, values)
-        assert path.stationary_start == (x0 is None)
+        assert path.config.stationary_start == (x0 is None)
 
 
 POOL_CFG = OuConfig(lambda_rate=1.0, dt=1.0, mode=Marginal.SD, n_steps=60, seed=8)
@@ -479,6 +480,17 @@ def test_ensemble_moments_pools_paths(sampler):
     paths = simulate_ensemble(EQUITY_PARAMS, CFG, 4, sampler)
     rep = ensemble_moments(paths, EQUITY_PARAMS)
     assert rep.n_observations == 4 * (CFG.n_steps + 1)
+
+
+def test_ensemble_moments_cuts_each_path_at_its_own_burn_in():
+    assert [f.name for f in fields(SamplePath)] == ["x", "config"]
+    rng = np.random.default_rng(3)
+    slow, fast = (SamplePath(rng.standard_normal(3001),
+                             OuConfig(lambda_rate=lam, dt=1.0, x0=0.0, n_steps=3000))
+                  for lam in (0.005, 5.0))
+    assert [burn_in_length(sp.config) for sp in (slow, fast)] == [2000, 100]
+    for order in ([slow, fast], [fast, slow]):
+        assert ensemble_moments(order, EQUITY_PARAMS).n_observations == 1001 + 2901
 
 
 def test_sample_marginal_modes_differ():
