@@ -101,15 +101,16 @@ def _stencil(plan: InversionPlan, data: np.ndarray) -> tuple:
 
 
 def _density_at_data(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
-    """(plan, cf on the half grid, pdf, raw mass, stencil, f at the data)."""
+    """(plan, cf on the half grid, pdf, stencil, f at the data), with pdf
+    ``InversionPlan.pdf``'s clipped density: mass-checked, not renormalized."""
     data = _check_data(data)
     if p.alpha_plus + p.alpha_minus <= 0.0:
         raise ValueError("degenerate parameters: both jump intensities are zero")
     plan = _plan_for(data, g)
     cf = np.exp(psi_gts(plan.xi_half, p))
-    pdf, mass = plan.pdf(cf)
+    pdf = plan.pdf(cf)[0]
     idx, w = _stencil(plan, data)
-    return plan, cf, pdf, mass, (idx, w), np.sum(pdf[idx] * w, axis=1)
+    return plan, cf, pdf, (idx, w), np.sum(pdf[idx] * w, axis=1)
 
 
 def log_likelihood(data, p: GtsParams, g: GridSpec | InversionPlan) -> float:
@@ -117,10 +118,10 @@ def log_likelihood(data, p: GtsParams, g: GridSpec | InversionPlan) -> float:
 
     ``g`` is a GridSpec, or an InversionPlan built from one: ``fit`` plans
     its grid once and passes the plan to every evaluation, which then costs
-    one exponent evaluation and one real FFT.  The pdf is interpolated at each
-    observation by the four-point cubic Lagrange stencil and floored at
-    1e-300 before the log.  If the data exceed the grid's x-range the range
-    is expanded for this evaluation.
+    one exponent evaluation and one real FFT.  The clipped, unnormalized pdf
+    (its mass checked) is interpolated at each observation by the four-point
+    cubic Lagrange stencil and floored at 1e-300 before the log.  If the data
+    exceed the grid's x-range the range is expanded for this evaluation.
     """
     return _log_likelihood(_density_at_data(data, p, g))
 
@@ -136,18 +137,17 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
 
     d/dtheta_j e^psi = psi_j e^psi and d2/dtheta_j dtheta_k e^psi =
     (psi_jk + psi_j psi_k) e^psi (``psi_gts_derivatives``).  With q the
-    clipped density (its mask is fixed by the undifferentiated row), m its
-    mass and f_i = S_i q / m,
+    clipped, unnormalized density (its mask is fixed by the undifferentiated
+    row) and f_i = S_i q,
 
-        d log f_i = S_i dq / (m f_i) - dm / m,
+        d log f_i = S_i dq / f_i,
 
     and the second derivative follows by the quotient rule.  Each of the 7
     first-derivative spectra is inverted (``InversionPlan.raw``) for its
-    stencil values at the data and its mass.  The 28 second-derivative
-    spectra enter only through sum_i S_i d2q / (m f_i) - n d2m / m (n
-    observations), one fixed linear functional of the unclipped row, so one
-    ``InversionPlan.adjoint`` turns it into one half spectrum and every
-    Hessian entry into one dot product: 9 real FFTs per call in all (the
+    stencil values at the data.  The 28 second-derivative spectra enter only
+    through sum_i S_i d2q / f_i, one fixed linear functional of the unclipped
+    row, so one ``InversionPlan.adjoint`` turns it into one half spectrum and
+    every Hessian entry into one dot product: 9 real FFTs per call in all (the
     density and the 7 first-derivative rows, and the adjoint).  Observations
     whose density sits on the 1e-300 floor contribute nothing.
     """
@@ -156,32 +156,24 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
 
 def _score_and_hessian(density: tuple, p: GtsParams) -> tuple:
     """``score_and_hessian`` from the ``_density_at_data`` result at p."""
-    plan, cf, pdf, mass, (idx, w), f = density
+    plan, cf, pdf, (idx, w), f = density
     live = f > PDF_FLOOR
     idx, w, f = idx[live], w[live], f[live]
     keep = pdf > 0.0
     first, second = psi_gts_derivatives(plan.xi_half, p)
 
-    n_obs, n_par = f.size, first.shape[0]
-    dm = np.empty(n_par)
-    du = np.empty((n_par, n_obs))
-    for j in range(n_par):
-        dq = np.where(keep, plan.raw(first[j] * cf), 0.0) / mass
-        dm[j], du[j] = np.trapezoid(dq, plan.x), np.sum(dq[idx] * w, axis=1) / f
-    grad = du.sum(axis=1) - n_obs * dm
+    du = np.array([np.sum(np.where(keep, plan.raw(d * cf), 0.0)[idx] * w, axis=1)
+                   for d in first]) / f
+    grad = du.sum(axis=1)
 
-    # sum_i S_i d2q / f_i - n_obs d2m for each pair j <= k, with d2q the clipped
-    # second-derivative rows over m: both terms are linear in their weights on
-    # d2q, so one adjoint of the summed weights c gives them together
-    h = 0.5 * np.diff(plan.x)
-    trapezoid = np.append(h, 0.0) + np.insert(h, 0, 0.0)
-    c = np.bincount(idx.ravel(), (w / f[:, None]).ravel(),
-                    minlength=plan.x.size) - n_obs * trapezoid
-    a = plan.adjoint(np.where(keep, c, 0.0) / mass) * cf
+    # sum_i S_i d2q / f_i for each pair j <= k is linear in its weights c on
+    # the clipped second-derivative row d2q, so one adjoint of c gives them all
+    c = np.bincount(idx.ravel(), (w / f[:, None]).ravel(), minlength=plan.x.size)
+    a = plan.adjoint(np.where(keep, c, 0.0)) * cf
     d2 = np.real((first * a) @ first.T)
     for (j, k), s in second.items():  # j <= k
         d2[j, k] += np.real(a @ s)
-    hess = d2 - du @ du.T + n_obs * np.outer(dm, dm)
+    hess = d2 - du @ du.T
     return grad, np.triu(hess) + np.triu(hess, 1).T
 
 

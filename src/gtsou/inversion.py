@@ -53,11 +53,11 @@ class GridSpec:
 class DensityGrid:
     """PDF/CDF on a uniform grid plus the monotone inverse CDF.
 
-    ``pdf`` is clipped nonnegative and renormalized to unit trapezoid mass;
-    ``cdf`` is the renormalized cumulative trapezoid.  ``quantile_table`` is
-    the monotone (PCHIP) inverse of the cdf restricted to its strictly
-    increasing section, built on first access; ``pdf_at`` builds a pdf PCHIP
-    on each call.
+    ``pdf`` is clipped nonnegative and renormalized to unit trapezoid mass,
+    unlike the likelihood's density; ``cdf`` is the renormalized cumulative
+    trapezoid.  ``quantile_table`` is the monotone (PCHIP) inverse of the
+    cdf restricted to its strictly increasing section, built on first
+    access; ``pdf_at`` builds a pdf PCHIP on each call.
     """
 
     x: np.ndarray
@@ -198,10 +198,10 @@ class InversionPlan:
         return self.to_xi * (r.real[self.bins] + 1j * self.sign * r.imag[self.bins])
 
     def pdf(self, cf_half) -> tuple:
-        """(pdf on ``x``, raw mass) from the characteristic function on
-        ``xi_half``: ``raw`` clipped nonnegative and renormalized to unit
-        trapezoid mass.  Raises NormalizationError when the raw mass deviates
-        from 1 by more than 1e-3 or is not finite."""
+        """(``raw`` clipped nonnegative on ``x``, its trapezoid mass, short of
+        1 by the tail mass outside the window) from the characteristic
+        function on ``xi_half``.  Raises NormalizationError when the mass
+        deviates from 1 by more than 1e-3 or is not finite."""
         g = self.grid
         pdf = self.raw(cf_half)
         pdf = np.where(pdf < 0.0, 0.0, pdf)  # trapezoid ringing is tiny by contract
@@ -212,7 +212,7 @@ class InversionPlan:
             raise NormalizationError(
                 f"{cause} ({g.n_points} points, xi_max={g.xi_max:g}, "
                 f"x-range [{g.x_min:g}, {g.x_max:g}])")
-        return pdf / mass, mass
+        return pdf, mass
 
 
 def invert_cf(exponent, g: GridSpec) -> DensityGrid:
@@ -226,14 +226,14 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
 
     Raises NormalizationError if the recovered mass deviates from 1 by more
     than 1e-3 or is not finite; tiny negative ringing lobes are clipped to
-    zero and the grid renormalized.
+    zero and the table renormalized, as the likelihood's density is not.
     """
     # the exponent runs before the plan exists, so the plan's arrays never add
     # to its peak
     cf_half = np.exp(exponent(half_frequencies(g)))
     plan = InversionPlan(g)
     pdf, mass = plan.pdf(cf_half)
-    x, dx = plan.x, plan.dx
+    pdf, x, dx = pdf / mass, plan.x, plan.dx
     del cf_half, plan
 
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))

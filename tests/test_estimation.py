@@ -124,31 +124,26 @@ def streamed_score_and_hessian(data, p, g):
     from gtsou.estimation import PDF_FLOOR, _density_at_data
     from gtsou.exponents import psi_gts_derivatives
 
-    plan, cf, pdf, mass, (idx, w), f = _density_at_data(data, p, g)
+    plan, cf, pdf, (idx, w), f = _density_at_data(data, p, g)
     live = f > PDF_FLOOR
     idx, w, f = idx[live], w[live], f[live]
     keep = pdf > 0.0
     first, second = psi_gts_derivatives(plan.xi_half, p)
 
     def row(spectrum):
-        dq = np.where(keep, plan.raw(spectrum), 0.0) / mass
-        return float(np.trapezoid(dq, plan.x)), np.sum(dq[idx] * w, axis=1) / f
+        dq = np.where(keep, plan.raw(spectrum), 0.0)
+        return np.sum(dq[idx] * w, axis=1) / f
 
-    n_obs, n_par = f.size, first.shape[0]
-    dm = np.empty(n_par)
-    du = np.empty((n_par, n_obs))
-    for j in range(n_par):
-        dm[j], du[j] = row(first[j] * cf)
-    grad = du.sum(axis=1) - n_obs * dm
+    n_par = first.shape[0]
+    du = np.array([row(first[j] * cf) for j in range(n_par)])
+    grad = du.sum(axis=1)
     hess = np.empty((n_par, n_par))
     for j in range(n_par):
         for k in range(j, n_par):
             spectrum = first[j] * first[k]
             if (j, k) in second:
                 spectrum += second[j, k]
-            d2m, d2u = row(spectrum * cf)
-            hess[j, k] = hess[k, j] = (d2u.sum() - du[j] @ du[k]
-                                       - n_obs * (d2m - dm[j] * dm[k]))
+            hess[j, k] = hess[k, j] = row(spectrum * cf).sum() - du[j] @ du[k]
     return grad, hess, live
 
 
@@ -269,6 +264,22 @@ def test_fit_on_the_budgeted_grid_matches_16384_points(c8_sample):
                                fine.final.params.as_vector(), rtol=1e-5)
 
 
+@pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["equity", "crypto"])
+def test_fit_grid_likelihood_matches_a_reference_grid(p):
+    # C8's recipe: on its fit grid the likelihood is within 1e-6 of one on 8x
+    # the points over a 4x-wider window at twice the cutoff, at the start and
+    # at the truth (at most 5.7e-7).  Renormalizing the density by the
+    # window's mass raised it by 3.4e-4 to 1.6e-3 here
+    data = sample_marginal(p, Marginal.GTS, 5000, np.random.default_rng(4))
+    init = moment_matched_init(data)
+    g = fit_grid(data, init)
+    mid, half = 0.5 * (g.x_min + g.x_max), 2.0 * (g.x_max - g.x_min)
+    ref = GridSpec(8 * g.n_points, mid - half, mid + half, 2.0 * g.xi_max)
+    for q in (init, p):
+        assert log_likelihood(data, q, g) == pytest.approx(
+            log_likelihood(data, q, ref), rel=0.0, abs=1e-6)
+
+
 def test_fit_grid_refuses_past_the_cap(c8_sample, monkeypatch):
     # a budget no grid meets: the doubling stops at the cap, builds no grid
     # beyond it, and names the cause
@@ -330,6 +341,14 @@ def test_log_likelihood_raises_on_non_finite_mass():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NormalizationError, match="not finite"):
             log_likelihood(np.linspace(-1.0, 1.0, 50), p, GridSpec(1024, -5.0, 5.0, 50.0))
+
+
+def test_log_likelihood_raises_on_mass_short_of_one():
+    # the likelihood does not divide by the density's mass, but still refuses
+    # a window that leaves out this much of it (the mass is 0.777142)
+    with pytest.raises(NormalizationError, match="deviates from 1 by more than 1e-3"):
+        log_likelihood(np.linspace(-0.5, 0.5, 50), EQUITY_PARAMS,
+                       GridSpec(1024, -1.0, 1.0, 50.0))
 
 
 def test_log_likelihood_input_validation(equity_sample):
@@ -525,19 +544,19 @@ def _monotone(trace) -> bool:
 def test_fit_leaves_the_beta_boundary(compact_fit):
     # t = 0 maps to beta_minus = 0 and the square map gives l positive
     # curvature along t there, so the fit steps inward (beta_minus reaches
-    # about 0.23) before it climbs the beta_minus -> 0 ridge to -773.734988,
-    # above the interior optimum -773.863824
+    # about 0.23) before it climbs the beta_minus -> 0 ridge to -773.735031,
+    # above the interior optimum -773.863847
     data, g, trace = compact_fit
     start = moment_matched_init(data).replace(beta_minus=0.0)
     fitted = fit(data, start, grad_tol=1e-2, max_iter=120, g=g)
     assert any(s.params.beta_minus > 0.1 for s in fitted.states)
     assert _monotone(fitted)
-    assert fitted.final.log_likelihood >= -773.734988 - 1e-6
+    assert fitted.final.log_likelihood >= -773.735031 - 1e-6
 
 
 def test_fit_leaves_the_alpha_boundary(compact_fit):
     # from alpha_minus = 0 (log-likelihood -134355) the fit reaches the
-    # interior optimum -773.863824.  The damped-Newton fit ended MaxIter at
+    # interior optimum -773.863847.  The damped-Newton fit ended MaxIter at
     # -938.508304 after 120 iterations, and a logit/log map cannot start here
     data, g, _ = compact_fit
     start = moment_matched_init(data).replace(alpha_minus=0.0)
@@ -568,7 +587,7 @@ def test_fit_converges_on_equity_seed_6():
     data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 5000, np.random.default_rng(6))
     trace = fit(data, moment_matched_init(data), grad_tol=1e-4)
     assert trace.reason == "GradientTol"
-    assert trace.final.log_likelihood == pytest.approx(-6823.831602326027, rel=0.0, abs=1e-8)
+    assert trace.final.log_likelihood == pytest.approx(-6823.832668644635, rel=0.0, abs=1e-8)
     assert _monotone(trace)
 
 

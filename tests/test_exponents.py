@@ -219,8 +219,8 @@ def test_sd_exponent_long_array_accuracy(p):
     v = [mp.mpf(t) for t in p.as_vector()]
     for i in (0, 2000, 5000, 9990, 10003, 11000, 13000, 16000, 19000, 20000):
         with mp.workdps(20):
-            ref = complex(mp.quad(lambda s: _mp_psi_gts(xi[i] * mp.exp(-s), v),
-                                  [0, 10, 40, 80]))
+            psi = _mp_psi_gts(v)
+            ref = complex(mp.quad(lambda s: psi(xi[i] * mp.exp(-s)), [0, 10, 40, 80]))
         assert abs(got[i] - ref) <= 1e-14 * abs(ref), (xi[i], got[i], ref)
 
 
@@ -266,7 +266,8 @@ def test_increment_exponent_sd_matches_mpmath_at_top_frequency():
     assert top[0] < g.xi_max <= xi and xi > 1e4
     v = [mp.mpf(t) for t in CRYPTO_PARAMS.as_vector()]
     with mp.workdps(40):
-        ref = complex(mp.quad(lambda s: _mp_psi_gts(xi * mp.exp(-s), v),
+        psi = _mp_psi_gts(v)
+        ref = complex(mp.quad(lambda s: psi(xi * mp.exp(-s)),
                               [0, mp.mpf(c.lambda_rate * c.dt)]))
     got = inc(np.array([xi]))[0]
     assert abs(got - ref) <= 1e-14 * abs(ref)
@@ -291,8 +292,8 @@ def test_increment_exponent_sd_difference_accuracy(p, lam):
     v = [mp.mpf(t) for t in p.as_vector()]
     for i in (0, 2000, 5000, 9990, 10003, 11000, 13000, 16000, 19000, 20000):
         with mp.workdps(40):
-            ref = complex(mp.quad(lambda s: _mp_psi_gts(xi[i] * mp.exp(-s), v),
-                                  [0, mp.mpf(lam)]))
+            psi = _mp_psi_gts(v)
+            ref = complex(mp.quad(lambda s: psi(xi[i] * mp.exp(-s)), [0, mp.mpf(lam)]))
         assert abs(got[i] - ref) <= 1e-14 * abs(ref), (xi[i], got[i], ref)
 
 
@@ -308,7 +309,8 @@ def test_increment_exponent_sd_longest_span_accuracy(p):
     v = [mp.mpf(t) for t in p.as_vector()]
     for x, value in zip(xi, got):
         with mp.workdps(40):
-            ref = complex(mp.quad(lambda s: _mp_psi_gts(x * mp.exp(-s), v), [0, 1, 5, 37]))
+            psi = _mp_psi_gts(v)
+            ref = complex(mp.quad(lambda s: psi(x * mp.exp(-s)), [0, 1, 5, 37]))
         assert abs(value - ref) <= 1e-14 * abs(ref), (x, value, ref)
 
 
@@ -379,16 +381,20 @@ def test_degenerate_alpha_rejected():
 
 # --- parameter derivatives ---------------------------------------------------
 
-def _mp_psi_gts(xi, v):
-    """psi_gts at 40 digits in the expm1 form (its log limit at beta = 0)."""
-    def side(x, beta, alpha, lam):
-        log_ratio = mp.log(1 - 1j * x / lam)
+def _mp_psi_gts(v):
+    """psi_gts at the parameter vector v as a function of xi, at the working
+    precision, in the expm1 form (its log limit at beta = 0).  Each side's
+    alpha Gamma(1 - beta) lambda^beta / beta is computed once, here, so a
+    quadrature over xi pays for it once per vector."""
+    def side(beta, alpha, lam):
         if beta == 0:
-            return -alpha * log_ratio
-        return -alpha * mp.gamma(1 - beta) * lam**beta * mp.expm1(beta * log_ratio) / beta
+            return lambda x: -alpha * mp.log(1 - 1j * x / lam)
+        scale = alpha * mp.gamma(1 - beta) * lam**beta / beta
+        return lambda x: -scale * mp.expm1(beta * mp.log(1 - 1j * x / lam))
 
     mu, b_plus, b_minus, a_plus, a_minus, l_plus, l_minus = v
-    return 1j * mu * xi + side(xi, b_plus, a_plus, l_plus) + side(-xi, b_minus, a_minus, l_minus)
+    plus, minus = side(b_plus, a_plus, l_plus), side(b_minus, a_minus, l_minus)
+    return lambda xi: 1j * mu * xi + plus(xi) + minus(-xi)
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +421,8 @@ def test_psi_derivatives_match_mpmath(beta, c8_xi_max):
         v = [mp.mpf(t) for t in p.as_vector()]
         for i, x in enumerate(xi):
             def f(*t, x=mp.mpf(x)):
-                return _mp_psi_gts(x, t)
+                # rebuilt at every t: mp.diff moves beta and lambda too
+                return _mp_psi_gts(t)(x)
             for j in range(7):
                 order = [0] * 7
                 order[j] = 1

@@ -55,7 +55,7 @@ def direct_raw(g, s, nodes=None):
 
 def direct_pdf(exponent, g):
     """``direct_raw`` of the characteristic function, clipped and renormalized
-    like ``InversionPlan.pdf``."""
+    like ``invert_cf``, and the mass it was divided by."""
     pdf = direct_raw(g, np.exp(exponent(half_frequencies(g))))
     pdf = np.where(pdf < 0.0, 0.0, pdf)
     mass = float(np.trapezoid(pdf, np.linspace(g.x_min, g.x_max, g.n_points)))
@@ -244,10 +244,10 @@ def test_plan_reuse_matches_fresh_calls():
     for exponent in (equity, gaussian_exponent(mu=0.01, sigma=0.9)):
         pdf, mass = plan.pdf(np.exp(exponent(plan.xi_half)))
         d = invert_cf(exponent, g)
-        assert np.array_equal(d.pdf, pdf)
+        assert np.array_equal(d.pdf, pdf / mass)
         assert d.raw_mass == mass
         ref_pdf, ref_mass = direct_pdf(exponent, g)
-        np.testing.assert_allclose(pdf, ref_pdf, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pdf / mass, ref_pdf, rtol=0.0, atol=1e-12)
         assert mass == pytest.approx(ref_mass, abs=1e-12)
 
 
