@@ -31,12 +31,69 @@ def _as_array(xi):
     return a, a.ndim == 0
 
 
+# The kernels below build complex log, exp and expm1 from numpy's real tan,
+# arctan, log1p, exp and expm1, which run as SIMD loops where numpy's sin, cos
+# and complex log/exp/power run element by element, 10-50 times slower.  The
+# exponentials need |Im z| < pi; every caller passes z = beta L, (beta - 1) L
+# or (beta - 2) L with L = _log_ratio(...), |Im L| < pi/2 and beta in [0, 1).
+# They work in place where they can, so that sd_exponent's blocks of 131072
+# nodes hold fewer temporaries than numpy's complex functions needed.
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _log_ratio(x, lam: float) -> np.ndarray:
+    """log(1 - i x/lam) for real x and lam > 0 on the principal branch:
+    log1p(r^2)/2 - i arctan(r) with r = x/lam, so |Im| < pi/2.  Where r^2
+    overflows (|r| > 1.3e154) the real part is log|x| - log(lam), as
+    log|r| + log1p(r^-2)/2 rounds there; a non-finite x gives nan + nan i."""
+    with np.errstate(over="ignore"):
+        r = x / lam
+        re = np.log1p(np.square(r))
+    re *= 0.5
+    out = _complex(re, np.arctan(r))
+    np.negative(out.imag, out=out.imag)
+    far = ~np.isfinite(out.real)
+    if far.any():
+        x = np.asarray(x)
+        out.real[far] = np.log(np.abs(x[far])) - np.log(lam)
+        out[far & ~np.isfinite(x)] = complex(np.nan, np.nan)
+    return out
+
+
+def _half_angle(y) -> tuple:
+    """(1 - cos y, sin y) = (2t^2, 2t) / (1 + t^2) with t = tan(y/2).
+    Requires |y| < pi, where t is finite."""
+    t = np.tan(0.5 * y)
+    s = t + t
+    s /= 1.0 + t * t
+    t *= s
+    return t, s
+
+
+def _cexp(z: np.ndarray) -> np.ndarray:
+    """exp(z) for complex z with |Im z| < pi (``_half_angle``)."""
+    w, s = _half_angle(z.imag)
+    ex = np.exp(z.real)
+    s *= ex
+    w *= ex
+    ex -= w
+    return _complex(ex, s)
+
+
 def _cexpm1(z: np.ndarray) -> np.ndarray:
-    """exp(z) - 1 for complex z, accurate near z = 0 (numpy's expm1 is
-    real-only).  Re uses expm1(x)cos(y) - 2sin^2(y/2); both terms are O(|z|)."""
-    x, y = np.real(z), np.imag(z)
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 \
-        + 1j * (np.exp(x) * np.sin(y))
+    """exp(z) - 1 for complex z with |Im z| < pi (``_half_angle``), accurate
+    near z = 0 (numpy's expm1 is real-only).  Re is expm1(x) cos(y) -
+    (1 - cos y); both terms are O(|z|)."""
+    w, s = _half_angle(z.imag)
+    s *= np.exp(z.real)
+    re = np.subtract(1.0, w)
+    re *= np.expm1(z.real)
+    re -= w
+    return _complex(re, s)
 
 
 def _two_sided(x, p: GtsParams, one_sided):
@@ -65,8 +122,7 @@ def psi_one_sided(xi, beta: float, alpha: float, lam: float):
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     x, scalar = _as_array(xi)
-    z = lam - 1j * x
-    log_ratio = np.log(z / lam)  # = log(1 - i*xi/lam), |Im| < pi/2
+    log_ratio = _log_ratio(x, lam)
     if beta == 0.0:
         out = -alpha * log_ratio
     else:
@@ -94,7 +150,7 @@ def _expm1_moments(z: np.ndarray) -> tuple:
             acc = acc * zs + c
         out[m][small] = acc
     zl = z[~small]
-    ez = np.exp(zl)
+    ez = _cexp(zl)
     prev = _cexpm1(zl) / zl
     out[0][~small] = prev
     for m in (1, 2):
@@ -120,11 +176,11 @@ def psi_one_sided_derivatives(xi, beta: float, alpha: float, lam: float) -> tupl
     1 = alpha, 2 = lam) to the nonzero second derivatives (d2/dalpha2 is 0).
     """
     x = np.asarray(xi, dtype=float)
-    log_ratio = np.log((lam - 1j * x) / lam)
+    log_ratio = _log_ratio(x, lam)
     i0, i1, i2 = _expm1_moments(beta * log_ratio)
     b0 = log_ratio * i0
     b1 = log_ratio**2 * i1
-    b2 = log_ratio**3 * i2
+    b2 = log_ratio**2 * log_ratio * i2  # numpy's ** 3 is its slow complex power
     a = gamma(1.0 - beta) * lam**beta
     digamma, a2 = digamma_trigamma(1.0 - beta)  # a2 = d2 log A / dbeta2
     a1 = np.log(lam) - digamma  # d log A / dbeta
@@ -137,7 +193,7 @@ def psi_one_sided_derivatives(xi, beta: float, alpha: float, lam: float) -> tupl
         (0, 1): d_alpha_beta,
         (0, 2): alpha * d_alpha_lam * a1
         - alpha * gamma(1.0 - beta) * lam ** (beta - 1.0)
-        * log_ratio * np.exp((beta - 1.0) * log_ratio),
+        * log_ratio * _cexp((beta - 1.0) * log_ratio),
         (1, 2): d_alpha_lam,
         (2, 2): alpha * gamma(2.0 - beta) * lam ** (beta - 2.0)
         * _cexpm1((beta - 2.0) * log_ratio),
@@ -176,8 +232,11 @@ def psi_gts(xi, p: GtsParams):
 
 
 def _bdlp_one_sided(y, beta, alpha, lam):
-    iy = 1j * np.asarray(y)  # numpy's complex power for scalar y too
-    return alpha * gamma(1.0 - beta) * iy / (lam - iy) ** (1.0 - beta)
+    """alpha Gamma(1-beta) i y / (lam - i y)^(1-beta), with the power written
+    lam^(1-beta) e^((1-beta) L), L = log(1 - i y/lam)."""
+    y = np.asarray(y, dtype=float)
+    return (alpha * gamma(1.0 - beta) * lam ** (beta - 1.0)) \
+        * _cexp((beta - 1.0) * _log_ratio(y, lam)) * (1j * y)
 
 
 def bdlp_exponent(xi, p: GtsParams):

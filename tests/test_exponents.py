@@ -2,6 +2,7 @@
 identities tying the GTS law to its driver and to the self-decomposable law.
 """
 
+import functools
 import tracemalloc
 
 import mpmath as mp
@@ -381,19 +382,30 @@ def test_degenerate_alpha_rejected():
 
 # --- parameter derivatives ---------------------------------------------------
 
+@functools.lru_cache(maxsize=4096)
+def _mp_gamma(x, prec):
+    """mp.gamma(x) at binary precision prec, computed once per pair: mp.diff
+    rebuilds the reference at every point it moves, mostly with beta fixed."""
+    with mp.workprec(prec):
+        return mp.gamma(x)
+
+
+def _mp_one_sided(beta, alpha, lam):
+    """psi_one_sided as a function of xi, at the working precision, in the
+    expm1 form (its log limit at beta = 0).  alpha Gamma(1 - beta)
+    lambda^beta / beta is computed once, here, so a quadrature over xi pays
+    for it once per side."""
+    if beta == 0:
+        return lambda x: -alpha * mp.log(1 - 1j * x / lam)
+    scale = alpha * _mp_gamma(1 - beta, mp.mp.prec) * lam**beta / beta
+    return lambda x: -scale * mp.expm1(beta * mp.log(1 - 1j * x / lam))
+
+
 def _mp_psi_gts(v):
     """psi_gts at the parameter vector v as a function of xi, at the working
-    precision, in the expm1 form (its log limit at beta = 0).  Each side's
-    alpha Gamma(1 - beta) lambda^beta / beta is computed once, here, so a
-    quadrature over xi pays for it once per vector."""
-    def side(beta, alpha, lam):
-        if beta == 0:
-            return lambda x: -alpha * mp.log(1 - 1j * x / lam)
-        scale = alpha * mp.gamma(1 - beta) * lam**beta / beta
-        return lambda x: -scale * mp.expm1(beta * mp.log(1 - 1j * x / lam))
-
+    precision."""
     mu, b_plus, b_minus, a_plus, a_minus, l_plus, l_minus = v
-    plus, minus = side(b_plus, a_plus, l_plus), side(b_minus, a_minus, l_minus)
+    plus, minus = _mp_one_sided(b_plus, a_plus, l_plus), _mp_one_sided(b_minus, a_minus, l_minus)
     return lambda xi: 1j * mu * xi + plus(xi) + minus(-xi)
 
 
@@ -436,3 +448,94 @@ def test_psi_derivatives_match_mpmath(beta, c8_xi_max):
                 with mp.workdps(40):
                     ref = complex(mp.diff(f, v, order))
                 assert abs(d[i] - ref) <= 1e-8 * abs(ref), (p, x, j, k)
+
+
+# --- complex log, exp and expm1 from real kernels ---------------------------
+
+KERNEL_R = [0.0, 1e-300, 1e-20, 1e-8, 0.5, 1.0, 37.0, 1e8, 1e153, 1e160, 1e300, 1.7e308]
+# |Im z| < pi, out to the last doubles below pi, with real parts from
+# deep underflow to near overflow
+KERNEL_Z = [complex(x, y)
+            for x in (-700.0, -30.0, -1.0, -1e-8, 0.0, 1e-12, 0.5, 5.0, 700.0)
+            for y in (-np.nextafter(np.pi, 0.0), -2.0, -1e-9, 0.0, 1e-15, 1.0,
+                      np.pi / 2, 3.0, np.nextafter(np.pi, 0.0))]
+
+
+def _rel(got, ref):
+    return abs(got - ref) / abs(ref) if ref != 0 else abs(got)
+
+
+def test_log_ratio_matches_mpmath():
+    # log(1 - i r) = log1p(r^2)/2 - i arctan(r), and log|r| where r^2 overflows
+    r = np.array([s * v for v in KERNEL_R for s in (1.0, -1.0)])
+    got = exponents._log_ratio(r, 1.0)
+    with mp.workdps(40):
+        ref = [complex(mp.log(1 - 1j * mp.mpf(v))) for v in r]
+    assert max(_rel(g, f) for g, f in zip(got, ref)) <= 4e-16
+    for i in (2, 2 * KERNEL_R.index(1e160)):  # a scalar takes the same route
+        assert exponents._log_ratio(r[i], 1.0) == got[i]
+
+
+@pytest.mark.parametrize("kernel, mp_fn", [(exponents._cexp, mp.exp), (exponents._cexpm1, mp.expm1)],
+                         ids=["exp", "expm1"])
+def test_complex_exp_kernels_match_mpmath(kernel, mp_fn):
+    # e^z and e^z - 1 with sine and cosine from tan(Im z / 2), for |Im z| < pi
+    z = np.array(KERNEL_Z)
+    got = kernel(z)
+    with mp.workdps(40):
+        ref = [complex(mp_fn(mp.mpc(v.real, v.imag))) for v in z]
+    assert max(_rel(g, f) for g, f in zip(got, ref)) <= 1e-15
+
+
+KERNEL_XI = [1e-20, 1e-6, 0.3, 2.0, 40.0, 1e4]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-7, 0.24, 0.68, 0.99])
+def test_one_sided_and_bdlp_match_mpmath(beta):
+    # psi_one_sided and the BDLP side alpha Gamma(1-beta) i y (lam - i y)^(beta-1)
+    # within 2e-15 relative: e^((beta-1) L) amplifies the rounding of L by up
+    # to |L| = 11 at xi = 1e4, lam = 0.19 (and 1e-14 at xi = 1e160)
+    xi = np.array([s * v for v in KERNEL_XI for s in (1.0, -1.0)])
+    for alpha, lam in ((0.414, 0.7276), (0.81, 0.19), (1.3, 3.0)):
+        psi = psi_one_sided(xi, beta, alpha, lam)
+        bdlp = exponents._bdlp_one_sided(xi, beta, alpha, lam)
+        with mp.workdps(40):
+            b, a, l = mp.mpf(beta), mp.mpf(alpha), mp.mpf(lam)
+            side = _mp_one_sided(b, a, l)
+            psi_ref = [complex(side(mp.mpf(x))) for x in xi]
+            bdlp_ref = [complex(a * mp.gamma(1 - b) * 1j * mp.mpf(x)
+                                * (l - 1j * mp.mpf(x)) ** (b - 1)) for x in xi]
+        assert max(_rel(g, f) for g, f in zip(psi, psi_ref)) <= 2e-15, (alpha, lam)
+        assert max(_rel(g, f) for g, f in zip(bdlp, bdlp_ref)) <= 2e-15, (alpha, lam)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.7276, 1.0, 3.3])
+def test_one_sided_real_part_at_tiny_frequencies(lam):
+    # Re psi ~ -alpha Gamma(1-beta) lam^beta (1-beta) (xi/lam)^2 / 2 < 0 at
+    # tiny xi; forming (lam - i xi)/lam in complex arithmetic rounded it to
+    # +5.17e-17 at lam = 0.7276 for every xi <= 1e-20
+    xi = np.array([1e-30, 1e-20, 1e-12, 1e-8])
+    got = psi_one_sided(xi, 0.243, 0.414, lam)
+    with mp.workdps(40):
+        side = _mp_one_sided(mp.mpf(0.243), mp.mpf(0.414), mp.mpf(lam))
+        ref = [complex(side(mp.mpf(x))) for x in xi]
+    for g, f in zip(got, ref):
+        assert f.real < 0.0
+        assert abs(g.real - f.real) <= 1e-14 * abs(f.real), (g, f)
+        assert abs(g.imag - f.imag) <= 1e-14 * abs(f.imag), (g, f)
+
+
+def test_exponents_keep_their_domain():
+    # a finite frequency of any size gives a finite exponent; +-inf and nan
+    # give nan in both parts, scalar or array
+    p = EQUITY_PARAMS
+    laws = (lambda x: psi_one_sided(x, 0.24, 0.4, 0.7), lambda x: psi_gts(x, p),
+            lambda x: bdlp_exponent(x, p),
+            lambda x: psi_gts_derivatives(np.atleast_1d(x), p)[0][1:, 0])
+    with np.errstate(invalid="ignore"):
+        for f in laws:
+            for x in (1e160, -1e160, 1e300, -1.7e308):
+                assert np.all(np.isfinite(f(x))), x
+            for x in (np.inf, -np.inf, np.nan):
+                got = np.asarray(f(x))
+                assert np.all(np.isnan(got.real) & np.isnan(got.imag)), x

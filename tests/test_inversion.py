@@ -203,8 +203,54 @@ def test_default_xi_max_hits_target_modulus():
 def test_default_xi_max_slow_decay_rejected():
     # a characteristic function that never reaches the cutoff must raise
     slow = lambda xi: -1e-30 * np.asarray(xi, dtype=complex) ** 2
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError, match="no usable frequency cutoff below 1e"):
         default_xi_max(slow)
+
+
+def _step_by_step_xi_max(exponent):
+    """default_xi_max's cutoff by one scalar probe per step: doubling from 1,
+    then at most 60 bisection steps, stopping once the midpoint rounds."""
+    tail = np.log(1e-12)
+    lo, hi = 0.0, 1.0
+    while np.real(exponent(hi)) > tail:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.real(exponent(mid)) > tail:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _laws():
+    from gtsou import Marginal, OuConfig, increment_exponent, sd_exponent
+    for name, p in (("equity", EQUITY_PARAMS), ("crypto", CRYPTO_PARAMS)):
+        yield f"gts-{name}", lambda x, p=p: psi_gts(x, p)
+        yield f"sd-{name}", lambda x, p=p: sd_exponent(x, p)
+        yield f"bdlp-{name}", lambda x, p=p: bdlp_exponent(x, p)
+        for mode in Marginal:
+            for lam in (0.1, 1.0):
+                c = OuConfig(lambda_rate=lam, dt=1.0, mode=mode)
+                yield (f"increment-{mode.value}-{lam}-{name}",
+                       lambda x, p=p, c=c: increment_exponent(x, p, c))
+    # cutoffs below 1, where the 60-step cap ends the bisection
+    for sigma in (1.7, 40.0, 1e4):
+        yield f"gaussian-{sigma}", gaussian_exponent(sigma=sigma)
+
+
+@pytest.mark.parametrize("exponent", [f for _, f in _laws()], ids=[n for n, _ in _laws()])
+def test_default_xi_max_matches_step_by_step_bisection(exponent):
+    calls = []
+
+    def counted(xi):
+        calls.append(np.size(xi))
+        return exponent(xi)
+
+    assert default_xi_max(counted) == _step_by_step_xi_max(exponent)
+    assert len(calls) <= 11 and calls[0] == 24
 
 
 def test_default_grid_keeps_the_point_count():

@@ -3,6 +3,7 @@ envelope, and the choice of route."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -83,3 +84,66 @@ def test_same_stream_same_draws():
         b = tempered_stable(np.random.default_rng(9), 100, 0.4, c, 1.0)
         assert np.array_equal(a, b)
         assert (a > 0.0).all()
+
+
+# x in (0, pi): next to 0 (where h^2 underflows), inside, and next to pi
+SINC_X = [1e-300, 1e-160, 1e-20, 1e-8, 1e-3, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-6,
+          np.nextafter(np.pi, 0.0), np.pi]
+
+
+def test_log_inv_sinc_matches_mpmath():
+    # log(x / sin x) from t = tan(x/2) within 2 ulps of max(1, |value|)
+    x = np.array(SINC_X)
+    got = tempered._log_inv_sinc(0.5 * x)
+    with mp.workdps(40):
+        ref = [float(mp.log(mp.mpf(v) / mp.sin(mp.mpf(v)))) for v in x]
+    for g, f, v in zip(got, ref, x):
+        assert abs(g - f) <= 4.5e-16 * max(1.0, abs(f)), v
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.243, 0.68, 0.99])
+def test_log_zeta2_matches_mpmath_and_keeps_u(beta):
+    # log zeta^2 from the three sinc factors; the caller's u is not written
+    u = np.array([1e-12, 1e-6, 1e-3, 0.5, 1.5, 2.5, 3.1, np.pi - 1e-6,
+                  np.nextafter(np.pi, 0.0)])
+    kept = u.copy()
+    got = tempered._log_zeta2(u, beta)
+    assert np.array_equal(u, kept)
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        lsinc = lambda x: mp.log(mp.sin(x) / x)
+        ref = [float(b * lsinc(b * v) + (1 - b) * lsinc((1 - b) * v) - lsinc(mp.mpf(v)))
+               for v in u]
+    for g, f, v in zip(got, ref, u):
+        assert abs(g - f) <= 4e-15 * max(1.0, abs(f)), v
+
+
+def _log_zeta2_by_sine(u, beta):
+    """log zeta^2 through numpy's sin, the form the tangent kernel replaced"""
+    lsinc = lambda x: np.log(np.sin(x) / x)
+    return beta * lsinc(beta * u) + (1.0 - beta) * lsinc((1.0 - beta) * u) - lsinc(u)
+
+
+# the presets' stability indices at Kanter's Lambda of the OU steps, and
+# double rejection above LAMBDA0
+@pytest.mark.parametrize("beta, lam", [
+    (b, lam) for b in (0.242579, 0.267178, 0.461378, 0.68229) for lam in (0.05, 0.5, 1.0, 2.4)
+] + [(b, lam) for b in (0.25, 0.5, 0.95) for lam in (6.0, 20.0, 100.0)])
+def test_draws_match_the_sine_form(monkeypatch, beta, lam):
+    # the same generator gives the same accepted proposals and close draws.
+    # Kanter's piece exp((log zeta^2 + ...) / beta) turns the kernels' few-ulp
+    # difference in log zeta^2 into about 1/beta ulps: within 1e-14.  Double
+    # rejection's t^(-b) scales a difference in t by b/t, large as t -> 0:
+    # up to 4.6e-14 at beta = 0.95, Lambda = 6 (3 of 60 seeds), so 1e-13
+    def draw():
+        rng = np.random.default_rng(2024)
+        if lam <= LAMBDA0:
+            return tempered._kanter(rng, 5000, beta, lam, math.ceil(lam))
+        return tempered._double_rejection(rng, 5000, beta, lam)
+
+    fast = draw()
+    monkeypatch.setattr(tempered, "_log_zeta2", _log_zeta2_by_sine)
+    ref = draw()
+    assert fast.shape == ref.shape
+    tol = 1e-14 if lam <= LAMBDA0 else 1e-13
+    assert np.all(np.abs(fast - ref) <= tol * np.abs(ref))
