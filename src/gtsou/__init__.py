@@ -14,7 +14,8 @@ import types
 
 # Public name -> the submodule that defines it.  ``import gtsou`` loads none
 # of them; each resolves on first access (PEP 562), so a command pays only for
-# the submodules, and the scipy modules, that it uses.
+# the submodules that it uses.  scipy is imported by three functions alone:
+# sd_exponent_unit_form, and the incomplete gammas at orders s > 0.
 _SOURCES = {
     "cumulants": ("Cumulants", "Marginal", "StationaryMoments", "cumulants",
                   "stationary_moments"),

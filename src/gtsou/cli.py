@@ -19,9 +19,8 @@ if TYPE_CHECKING:
     from .params import GtsParams
 
 # Each subcommand imports what it uses when it runs: --help, moments, density,
-# simulate and fit load no scipy at all, except density --law sd on a law with
-# a zero beta, whose Levy density calls scipy's exp1.  No subcommand loads
-# scipy.signal.
+# simulate and fit load no scipy at all, and validate loads only the
+# scipy.integrate of C4's reference quadrature.
 _MODES = ("gts", "sd")
 
 

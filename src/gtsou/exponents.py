@@ -144,11 +144,10 @@ def _expm1_moments(z: np.ndarray) -> tuple:
     out = np.empty((3,) + z.shape, dtype=complex)
     small = np.abs(z) < 1.0
     zs = z[small]
-    for m in range(3):
-        acc = np.zeros_like(zs)
-        for c in _I_SERIES[m, ::-1]:
-            acc = acc * zs + c
-        out[m][small] = acc
+    acc = np.zeros((3,) + zs.shape, dtype=complex)
+    for c in _I_SERIES[:, ::-1].T:  # one Horner step for all three series
+        acc = acc * zs + c[:, None]
+    out[:, small] = acc
     zl = z[~small]
     ez = _cexp(zl)
     prev = _cexpm1(zl) / zl

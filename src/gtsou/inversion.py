@@ -49,6 +49,56 @@ class GridSpec:
         return GridSpec(self.n_points, float(x_min), float(x_max), self.xi_max)
 
 
+def _edge_slope(h0, h1, m0, m1):
+    """The one-sided three-point derivative at an end knot, set to 0 where
+    its sign differs from the end slope m0 and limited to 3 m0 where the
+    slopes change sign, so the end interval stays monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """The monotone piecewise-cubic Hermite interpolant through (x, y), x
+    strictly increasing with at least 3 knots (Fritsch & Carlson, SIAM J.
+    Numer. Anal. 1980), with nan outside [x[0], x[-1]].
+
+    The arithmetic is scipy's ``PchipInterpolator(x, y, extrapolate=False)``
+    step for step, so the values are bitwise equal: the knot derivative is
+    0 where the neighbouring slopes differ in sign or either is 0, else
+    their weighted harmonic mean; the end knots take ``_edge_slope``; each
+    interval's cubic is summed in powers of the offset from its left knot.
+    """
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _edge_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def __call__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        x = self.x
+        inside = (v >= x[0]) & (v <= x[-1])
+        # the last knot belongs to the last interval
+        i = np.clip(np.searchsorted(x, v, "right") - 1, 0, x.size - 2)
+        s = np.where(inside, v - x[i], 0.0)  # no power of s overflows outside
+        c0, c1, c2, c3 = (c[i] for c in self._c)
+        return np.where(inside, 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s), np.nan)
+
+
 @dataclass(frozen=True)
 class DensityGrid:
     """PDF/CDF on a uniform grid plus the monotone inverse CDF.
@@ -73,18 +123,13 @@ class DensityGrid:
     # -- lookups ----------------------------------------------------------
 
     @cached_property
-    def quantile_table(self):
-        from scipy.interpolate import PchipInterpolator
-
+    def quantile_table(self) -> "_Pchip":
         keep = np.concatenate(([True], np.diff(self.cdf) > 1e-15))
-        return PchipInterpolator(self.cdf[keep], self.x[keep], extrapolate=False)
+        return _Pchip(self.cdf[keep], self.x[keep])
 
     def pdf_at(self, x):
         """PDF interpolated at arbitrary points; zero outside the grid."""
-        from scipy.interpolate import PchipInterpolator
-
-        interp = PchipInterpolator(self.x, self.pdf, extrapolate=False)
-        out = interp(np.asarray(x, dtype=float))
+        out = _Pchip(self.x, self.pdf)(x)
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 
     def cdf_at(self, x):

@@ -52,22 +52,25 @@ def digamma_trigamma(x: float) -> tuple:
 
 
 def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(s, x) for 0 < |s| <= 1/2 and 0 < x < 1/2 as
+    """Gamma(s, x) for |s| <= 1/2 and 0 < x < 1/2 as
 
         (Gamma(1+s) - 1)/s - expm1(s log x)/s - x^s sum_(n>=1) (-x)^n / (n! (n+s)),
 
-    each term analytic through s = 0, where the sum is E1(x)."""
+    each term analytic through s = 0, where it takes its limit
+    E1(x) = -euler_gamma - log x - sum_(n>=1) (-x)^n / (n! n)."""
     total = np.zeros_like(x)
     term = np.ones_like(x)
     for n in range(1, 18):  # (1/2)^17/17! < 3e-20
         term = term * (-x / n)
         total += term / (n + s)
+    if s == 0.0:
+        return -np.euler_gamma - np.log(x) - total
     return _gamma1pm1_over(s) - np.expm1(s * np.log(x)) / s - x**s * total
 
 
 def _gamma_fraction(s: float, x: np.ndarray) -> np.ndarray:
     """Gamma(s, x) = e^(-x) x^s / (x + 1 - s - 1 (1 - s) / (x + 3 - s - ...)),
-    the Legendre continued fraction for s < 0 and x >= 1/2, evaluated by the
+    the Legendre continued fraction for s <= 0 and x >= 1/2, evaluated by the
     modified Lentz method.  Each entry leaves the iteration once its step is
     within rounding of 1: about 170 steps at x = 1/2, 5 at x = 700."""
     h = np.empty_like(x)
@@ -97,14 +100,14 @@ def _gamma_fraction(s: float, x: np.ndarray) -> np.ndarray:
 def upper_incomplete_gamma(s: float, x):
     """Gamma(s, x) = integral_x^inf y^(s-1) e^(-y) dy for order s in (-1, 1).
 
-    s > 0 is scipy's regularized ``gammaincc`` times Gamma(s), and s = 0 the
-    exponential integral ``exp1``; scipy is imported for these two only.
-    For s < 0 each region has its own form in numpy, none of which loses
-    more than a few ulps to cancellation, however close s is to 0:
+    s > 0 is scipy's regularized ``gammaincc`` times Gamma(s); scipy is
+    imported for that branch only.  For s <= 0 each region has its own form
+    in numpy, none of which loses more than a few ulps to cancellation,
+    however close s is to 0:
 
     * x >= 1/2: the Legendre continued fraction (``_gamma_fraction``);
     * x < 1/2 and s > -1/2: a series whose terms stay finite as s -> 0
-      (``_gamma_series``);
+      (``_gamma_series``), at s = 0 its limit, the exponential integral E1;
     * x < 1/2 and s <= -1/2: one step of the downward recurrence
       Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s, with Gamma(s+1, x)
       from the same series at 0 < s+1 <= 1/2, which loses at most a few
@@ -118,10 +121,10 @@ def upper_incomplete_gamma(s: float, x):
         raise ValueError("upper_incomplete_gamma requires x > 0")
     if not -1.0 < s < 1.0:
         raise ValueError(f"order s={s:g} outside the supported interval (-1, 1)")
-    if s >= 0.0:
+    if s > 0.0:
         from scipy import special as sc
 
-        out = sc.exp1(x) if s == 0.0 else sc.gammaincc(s, x) * sc.gamma(s)
+        out = sc.gammaincc(s, x) * sc.gamma(s)
     else:
         out = np.empty_like(x)
         large = x >= 0.5

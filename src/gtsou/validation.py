@@ -371,7 +371,8 @@ def check_frft_kernel() -> list:
 # --- driver -----------------------------------------------------------------
 
 # One row per group: its id, the check ids it reports, its check, and the
-# scipy submodules it loads on first use, imported before its timer starts.
+# scipy submodules it loads on first use, imported before its timer starts:
+# C4's reference quadrature is the only scipy a group uses.
 _GROUPS = (
     ("C1", ("C1",), check_mean_cumulant, ()),
     ("C2", ("C2a", "C2b"), check_shape_indicators, ()),
@@ -380,7 +381,7 @@ _GROUPS = (
     ("C5", ("C5",), check_sd_density_asymptotics, ()),
     ("C6", ("C6",), check_inversion_fidelity, ()),
     ("C7", ("C7a", "C7b"), check_simulation_convergence, ()),
-    ("C8", ("C8",), check_mle_round_trip, ("scipy.interpolate",)),
+    ("C8", ("C8",), check_mle_round_trip, ()),
     ("C9", ("C9",), check_frft_kernel, ()),
 )
 

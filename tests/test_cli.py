@@ -495,10 +495,9 @@ def test_help_loads_no_scipy():
     assert _scipy_loaded_after(code) == []
 
 
-# Gamma, digamma and trigamma are the package's own, and the incomplete gamma
-# at the negative orders the Levy densities use is numpy: only
-# sd_exponent_unit_form, the incomplete gammas at orders s >= 0 and the PCHIP
-# interpolants load scipy
+# Gamma, digamma and trigamma, the PCHIP interpolants and the incomplete gamma
+# at the orders s <= 0 the Levy densities use are the package's own: only
+# sd_exponent_unit_form and the incomplete gammas at orders s > 0 load scipy
 
 
 def test_moments_loads_no_scipy():
@@ -544,6 +543,32 @@ def test_fit_loads_no_scipy(tmp_path):
     loaded = _scipy_loaded_after("from gtsou.cli import main\n"
                                  f"assert main(['fit', {str(csv_path)!r}, '--max-iter', '3', "
                                  f"'--out', {out!r}]) in (0, 1)")
+    assert loaded == []
+
+
+def test_sample_marginal_loads_no_scipy():
+    # the inverse-transform draws take the numpy PCHIP of the inverse cdf
+    loaded = _scipy_loaded_after("import numpy as np\n"
+                                 "from gtsou import EQUITY_PARAMS, Marginal, sample_marginal\n"
+                                 "sample_marginal(EQUITY_PARAMS, Marginal.GTS, 500, "
+                                 "np.random.default_rng(4))")
+    assert loaded == []
+
+
+def test_validate_c8_loads_no_scipy():
+    loaded = _scipy_loaded_after("from gtsou.cli import main\n"
+                                 "assert main(['validate', '--ids', 'C8']) == 0")
+    assert loaded == []
+
+
+def test_density_sd_at_zero_beta_loads_no_scipy(tmp_path):
+    # a zero beta makes the SD Levy density an exponential integral E1
+    params = tmp_path / "p.json"
+    EQUITY_PARAMS.replace(beta_plus=0.0, beta_minus=0.0).save(params)
+    out = str(tmp_path / "d.csv")
+    loaded = _scipy_loaded_after("from gtsou.cli import main\n"
+                                 f"assert main(['density', '--params', {str(params)!r}, "
+                                 f"'--law', 'sd', '--out', {out!r}]) == 0")
     assert loaded == []
 
 

@@ -450,6 +450,22 @@ def test_psi_derivatives_match_mpmath(beta, c8_xi_max):
                 assert abs(d[i] - ref) <= 1e-8 * abs(ref), (p, x, j, k)
 
 
+def test_expm1_moments_series_is_three_horner_loops():
+    # the one (3, k) Horner pass is bitwise the three per-series loops, on
+    # the C8 grid's beta L below |z| = 1 and on complex points of every sign
+    log_ratio = exponents._log_ratio(half_frequencies(default_grid(
+        lambda x: psi_gts(x, EQUITY_PARAMS), 0.0, 1.0)), EQUITY_PARAMS.lambda_plus)
+    z = np.concatenate([EQUITY_PARAMS.beta_plus * log_ratio,
+                        [0.0, -0.0j, 0.99, -0.99, 0.7j, -0.5 - 0.5j, 0.3 - 0.9j]])
+    zs = z[np.abs(z) < 1.0]
+    assert zs.size > 7
+    for m, got in enumerate(exponents._expm1_moments(zs)):
+        acc = np.zeros_like(zs)
+        for c in exponents._I_SERIES[m, ::-1]:
+            acc = acc * zs + c
+        assert np.array_equal(got.view(float), acc.view(float))
+
+
 # --- complex log, exp and expm1 from real kernels ---------------------------
 
 KERNEL_R = [0.0, 1e-300, 1e-20, 1e-8, 0.5, 1.0, 37.0, 1e8, 1e153, 1e160, 1e300, 1.7e308]

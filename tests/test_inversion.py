@@ -21,6 +21,7 @@ from gtsou import (
     psi_gts,
     quantile,
 )
+from gtsou import inversion
 from gtsou.frft import phase_mod2
 from gtsou.inversion import InversionPlan, half_frequencies
 
@@ -113,30 +114,86 @@ def test_quantile_cdf_round_trip():
 
 def test_quantile_table_built_on_first_quantile(monkeypatch):
     # invert_cf builds no interpolant; the first quantile builds the inverse-cdf
-    # PCHIP once, and it equals the one invert_cf used to build eagerly
-    import scipy.interpolate
+    # PCHIP once, and it equals scipy's PCHIP through the same knots
+    from scipy.interpolate import PchipInterpolator
 
-    pchip = scipy.interpolate.PchipInterpolator
     built = []
 
-    class CountingPchip(pchip):
-        def __init__(self, *args, **kwargs):
+    class CountingPchip(inversion._Pchip):
+        def __init__(self, *args):
             built.append(1)
-            super().__init__(*args, **kwargs)
+            super().__init__(*args)
 
-    monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", CountingPchip)
+    monkeypatch.setattr(inversion, "_Pchip", CountingPchip)
     exponent = lambda xi: psi_gts(xi, EQUITY_PARAMS)
     k = cumulants(EQUITY_PARAMS, 2)
     d = invert_cf(exponent, default_grid(exponent, k[1], np.sqrt(k[2])))
     assert built == []
 
     keep = np.concatenate(([True], np.diff(d.cdf) > 1e-15))
-    table = pchip(d.cdf[keep], d.x[keep], extrapolate=False)
+    table = PchipInterpolator(d.cdf[keep], d.x[keep], extrapolate=False)
     u = np.random.default_rng(4).uniform(1e-9, 1.0 - 1e-9, 2001)
     expected = table(np.clip(u, table.x[0], table.x[-1]))
     assert np.array_equal(quantile(d, u), expected)
     assert np.array_equal(quantile(d, u[:7]), expected[:7])
     assert built == [1]
+
+
+def _same_bits(a, b):
+    """Equal as bit patterns: -0.0 differs from 0.0, and nan equals nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def marginal_grids():
+    """sample_marginal's density grids: both presets, both laws."""
+    from gtsou import Marginal, marginal_exponent, stationary_moments
+
+    grids = []
+    for p in (EQUITY_PARAMS, CRYPTO_PARAMS):
+        for law in (Marginal.GTS, Marginal.SD):
+            exponent = marginal_exponent(p, law)
+            sm = stationary_moments(p, law)
+            grids.append(invert_cf(exponent, default_grid(exponent, sm.mean, sm.std_dev,
+                                                          n_points=8192, span=20.0)))
+    return grids
+
+
+def test_quantile_is_scipy_pchip_bit_for_bit(marginal_grids):
+    # the numpy PCHIP repeats scipy's arithmetic step for step: C8's seed 4
+    # among the draws, every knot and both clamp ends
+    from scipy.interpolate import PchipInterpolator
+
+    from gtsou.ou import _open_uniform
+
+    for d in marginal_grids:
+        keep = np.concatenate(([True], np.diff(d.cdf) > 1e-15))
+        ref = PchipInterpolator(d.cdf[keep], d.x[keep], extrapolate=False)
+        knots = ref.x
+        assert _same_bits(d.quantile_table.x, knots)
+        assert _same_bits(d.quantile_table(knots), ref(knots))
+        for seed in (0, 1, 4):
+            u = _open_uniform(np.random.default_rng(seed), 10000)
+            assert _same_bits(quantile(d, u), ref(np.clip(u, knots[0], knots[-1])))
+        assert _same_bits(quantile(d, knots[1:-1]), ref(knots[1:-1]))
+        for end in (5e-324, np.nextafter(1.0, 0.0)):  # the clamp ends, as scalars
+            assert _same_bits(quantile(d, end), ref(np.clip(end, knots[0], knots[-1])))
+
+
+def test_pdf_at_is_scipy_pchip_bit_for_bit(marginal_grids):
+    # at the grid points, between them, outside the grid (0) and at nan (0)
+    from scipy.interpolate import PchipInterpolator
+
+    for d in marginal_grids:
+        ref = PchipInterpolator(d.x, d.pdf, extrapolate=False)
+        dx = d.x[1] - d.x[0]
+        v = np.concatenate([d.x, 0.5 * (d.x[1:] + d.x[:-1]), d.x[:-1] + 0.3 * dx,
+                            [d.x[0] - dx, d.x[-1] + dx, -np.inf, np.inf, np.nan]])
+        expected = np.nan_to_num(ref(v), nan=0.0, posinf=0.0, neginf=0.0)
+        assert _same_bits(d.pdf_at(v), expected)
+        assert np.all(d.pdf_at(v[-5:]) == 0.0)
+        assert _same_bits(d.pdf_at(v[7]), expected[7])
 
 
 def test_gts_moments_match_cumulants():

@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves lazily to the object its
 submodule defines."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -10,8 +11,8 @@ import pytest
 
 import gtsou
 
-BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "benchmarks")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
 
 
 def test_every_public_name_resolves_to_its_submodule():
@@ -52,6 +53,47 @@ def test_submodules_import_from_the_package():
     assert cli.main is importlib.import_module("gtsou.cli").main
     assert estimation.fit is gtsou.fit
     assert ou.simulate_path is gtsou.simulate_path
+
+
+def _scipy_imports(node, owner=None):
+    """{(function, scipy module)} for every import of scipy under an ast node,
+    the function being the innermost one around the import (None at module
+    level)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    names = []
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [f"scipy.{a.name}" if node.module == "scipy" else node.module
+                 for a in node.names]
+    found = {(owner, n) for n in names if n.split(".")[0] == "scipy"}
+    for child in ast.iter_child_nodes(node):
+        found |= _scipy_imports(child, owner)
+    return found
+
+
+def _scipy_import_sites():
+    """{("submodule.function", scipy module)} over the package's source."""
+    src = os.path.join(ROOT, "src", "gtsou")
+    sites = set()
+    for filename in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, filename)) as fh:
+            tree = ast.parse(fh.read())
+        sites |= {(f"{filename[:-3]}.{owner}", module)
+                  for owner, module in _scipy_imports(tree)}
+    return sites
+
+
+def test_scipy_is_imported_only_at_its_allowed_sites():
+    # C4's independent reference quadrature and the incomplete gammas at
+    # orders s > 0; every hot path (inversion, quantiles, Levy densities at
+    # s <= 0, the fit and the simulation) is numpy
+    assert _scipy_import_sites() == {
+        ("exponents.sd_exponent_unit_form", "scipy.integrate"),
+        ("special.upper_incomplete_gamma", "scipy.special"),
+        ("special.lower_incomplete_gamma", "scipy.special"),
+    }
 
 
 def _load_benchmark_module(name):

@@ -81,6 +81,21 @@ def test_upper_gamma_negative_orders_match_mpmath():
     assert worst <= 1e-13
 
 
+def test_upper_gamma_order_zero_is_e1():
+    # Gamma(0, x) = E1(x): the series' s -> 0 limit below x = 1/2, the
+    # continued fraction at s = 0 above it, and both sides of the switch
+    x = np.concatenate([np.geomspace(1e-12, 700.0, 121),
+                        [0.4999, np.nextafter(0.5, 0.0), 0.5, 0.5001]])
+    got = upper_incomplete_gamma(0.0, x)
+    worst = 0.0
+    with mp.workdps(40):
+        for xi, value in zip(x, got):
+            ref = mp.e1(mp.mpf(float(xi)))
+            worst = max(worst, float(abs((mp.mpf(float(value)) - ref) / ref)))
+    assert worst <= 5e-14
+    assert isinstance(upper_incomplete_gamma(0.0, 0.25), float)
+
+
 def test_zeta_table_matches_mpmath():
     k = np.arange(2, 61)
     with mp.workdps(40):
