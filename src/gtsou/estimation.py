@@ -62,6 +62,8 @@ class FitTrace:
 
 def _check_data(data) -> np.ndarray:
     data = np.asarray(data, dtype=float)
+    if data.ndim != 1:
+        raise ValueError(f"data must be a 1-d array of observations, got shape {data.shape}")
     if data.size == 0:
         raise ValueError("data must be non-empty")
     if not np.isfinite(data).all():
@@ -81,49 +83,73 @@ def _plan_for(data: np.ndarray, g: GridSpec | InversionPlan) -> InversionPlan:
     return g if isinstance(g, InversionPlan) else InversionPlan(grid)
 
 
-def _stencil(plan: InversionPlan, data: np.ndarray) -> tuple:
-    """Indices and weights, each (len(data), 4), of the cubic Lagrange
-    interpolant through the four grid nodes around each observation (the
-    stencil slides inward at the grid ends).  The interpolant is linear in
-    the grid values, so interpolating the derivative rows gives the exact
-    derivative of the interpolated likelihood (a monotone PCHIP is not, and
-    with its analytic gradient the Newton fit stalled short of C8's
-    tolerance).
-    ``_plan_for`` keeps every observation inside the grid."""
+class _Stencil:
+    """The cubic Lagrange interpolation operator S from a grid row to the
+    data, as contiguous (4, m) columns: ``idx[k]`` is the k-th grid node
+    around each observation and ``w[k]`` its weight."""
+
+    def __init__(self, plan: InversionPlan, idx: np.ndarray, w: np.ndarray):
+        self.plan, self.idx, self.w = plan, idx, w
+        # the same entries in observation order: S^T's bincount sums each
+        # node's terms in this order, which fixes the Hessian's bits
+        self.idx_by_obs = idx.T.ravel()
+        self.w_by_obs = w.T.copy()
+
+    def apply(self, row: np.ndarray) -> np.ndarray:
+        """S row: the interpolant of a grid row at each observation, as four
+        gathered multiply-adds."""
+        i, w = self.idx, self.w
+        return row[i[0]] * w[0] + row[i[1]] * w[1] + row[i[2]] * w[2] + row[i[3]] * w[3]
+
+    def transpose_over(self, f: np.ndarray) -> np.ndarray:
+        """S^T (1/f): each weight divided by its observation's f and summed
+        onto the grid node it reads, observation by observation."""
+        return np.bincount(self.idx_by_obs, (self.w_by_obs / f[:, None]).ravel(),
+                           minlength=self.plan.x.size)
+
+
+def _stencil(data, g: GridSpec | InversionPlan) -> _Stencil:
+    """The ``_Stencil`` of the data on g's plan (``_plan_for``, so every
+    observation lies inside the grid): the cubic Lagrange interpolant through
+    the four grid nodes around each observation (the stencil slides inward
+    at the grid ends).  The interpolant is linear in the grid values, so
+    interpolating the derivative rows gives the exact derivative of the
+    interpolated likelihood (a monotone PCHIP is not, and with its analytic
+    gradient the Newton fit stalled short of C8's tolerance)."""
+    data = _check_data(data)
+    plan = _plan_for(data, g)
     t = (data - plan.grid.x_min) / plan.dx
     start = np.clip(np.floor(t).astype(int) - 1, 0, plan.x.size - 4)
     t = t - (start + 1)
     w = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
                   (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
                   -(t + 1.0) * t * (t - 2.0) / 2.0,
-                  (t + 1.0) * t * (t - 1.0) / 6.0], axis=1)
-    return start[:, None] + np.arange(4), w
+                  (t + 1.0) * t * (t - 1.0) / 6.0])
+    return _Stencil(plan, start + np.arange(4)[:, None], w)
 
 
-def _density_at_data(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
-    """(plan, cf on the half grid, pdf, stencil, f at the data), with pdf
+def _density_at_data(s: _Stencil, p: GtsParams) -> tuple:
+    """(stencil, cf on the half grid, pdf, f at the data), with pdf
     ``InversionPlan.pdf``'s clipped density: mass-checked, not renormalized."""
-    data = _check_data(data)
     if p.alpha_plus + p.alpha_minus <= 0.0:
         raise ValueError("degenerate parameters: both jump intensities are zero")
-    plan = _plan_for(data, g)
-    cf = np.exp(psi_gts(plan.xi_half, p))
-    pdf = plan.pdf(cf)[0]
-    idx, w = _stencil(plan, data)
-    return plan, cf, pdf, (idx, w), np.sum(pdf[idx] * w, axis=1)
+    cf = np.exp(psi_gts(s.plan.xi_half, p))
+    pdf = s.plan.pdf(cf)[0]
+    return s, cf, pdf, s.apply(pdf)
 
 
 def log_likelihood(data, p: GtsParams, g: GridSpec | InversionPlan) -> float:
     """l(data; p) = sum_j log f(data_j) with f from one CF inversion on g.
 
     ``g`` is a GridSpec, or an InversionPlan built from one: ``fit`` plans
-    its grid once and passes the plan to every evaluation, which then costs
-    one exponent evaluation and one real FFT.  The clipped, unnormalized pdf
-    (its mass checked) is interpolated at each observation by the four-point
-    cubic Lagrange stencil and floored at 1e-300 before the log.  If the data
-    exceed the grid's x-range the range is expanded for this evaluation.
+    its grid and builds its interpolation stencil once, so each of its
+    evaluations costs one exponent evaluation and one real FFT.  The clipped,
+    unnormalized pdf (its mass checked) is interpolated at each observation
+    by the four-point cubic Lagrange stencil and floored at 1e-300 before the
+    log.  If the data exceed the grid's x-range the range is expanded for
+    this evaluation.
     """
-    return _log_likelihood(_density_at_data(data, p, g))
+    return _log_likelihood(_density_at_data(_stencil(data, g), p))
 
 
 def _log_likelihood(density: tuple) -> float:
@@ -138,41 +164,43 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
     d/dtheta_j e^psi = psi_j e^psi and d2/dtheta_j dtheta_k e^psi =
     (psi_jk + psi_j psi_k) e^psi (``psi_gts_derivatives``).  With q the
     clipped, unnormalized density (its mask is fixed by the undifferentiated
-    row) and f_i = S_i q,
+    row) and f = S q,
 
-        d log f_i = S_i dq / f_i,
+        d log f_i = (S dq)_i / f_i,
 
     and the second derivative follows by the quotient rule.  Each of the 7
     first-derivative spectra is inverted (``InversionPlan.raw``) for its
     stencil values at the data.  The 28 second-derivative spectra enter only
-    through sum_i S_i d2q / f_i, one fixed linear functional of the unclipped
-    row, so one ``InversionPlan.adjoint`` turns it into one half spectrum and
-    every Hessian entry into one dot product: 9 real FFTs per call in all (the
-    density and the 7 first-derivative rows, and the adjoint).  Observations
-    whose density sits on the 1e-300 floor contribute nothing.
+    through sum_i (S d2q)_i / f_i = (S^T (1/f)) . d2q, one fixed linear
+    functional of the unclipped row, so one ``InversionPlan.adjoint`` turns it
+    into one half spectrum and every Hessian entry into one dot product: 9
+    real FFTs per call in all (the density and the 7 first-derivative rows,
+    and the adjoint).  Observations whose density sits on the 1e-300 floor
+    contribute nothing.
     """
-    return _score_and_hessian(_density_at_data(data, p, g), p)
+    return _score_and_hessian(_density_at_data(_stencil(data, g), p), p)
 
 
 def _score_and_hessian(density: tuple, p: GtsParams) -> tuple:
     """``score_and_hessian`` from the ``_density_at_data`` result at p."""
-    plan, cf, pdf, (idx, w), f = density
+    s, cf, pdf, f = density
+    plan = s.plan
     live = f > PDF_FLOOR
-    idx, w, f = idx[live], w[live], f[live]
+    if not live.all():
+        s, f = _Stencil(plan, s.idx[:, live], s.w[:, live]), f[live]
     keep = pdf > 0.0
     first, second = psi_gts_derivatives(plan.xi_half, p)
 
-    du = np.array([np.sum(np.where(keep, plan.raw(d * cf), 0.0)[idx] * w, axis=1)
-                   for d in first]) / f
+    du = np.array([s.apply(np.where(keep, plan.raw(d * cf), 0.0)) for d in first]) / f
     grad = du.sum(axis=1)
 
-    # sum_i S_i d2q / f_i for each pair j <= k is linear in its weights c on
-    # the clipped second-derivative row d2q, so one adjoint of c gives them all
-    c = np.bincount(idx.ravel(), (w / f[:, None]).ravel(), minlength=plan.x.size)
-    a = plan.adjoint(np.where(keep, c, 0.0)) * cf
+    # sum_i (S d2q)_i / f_i for each pair j <= k is linear in the weights
+    # S^T (1/f) on the clipped second-derivative row d2q, so one adjoint of
+    # them gives them all
+    a = plan.adjoint(np.where(keep, s.transpose_over(f), 0.0)) * cf
     d2 = np.real((first * a) @ first.T)
-    for (j, k), s in second.items():  # j <= k
-        d2[j, k] += np.real(a @ s)
+    for (j, k), s2 in second.items():  # j <= k
+        d2[j, k] += np.real(a @ s2)
     hess = d2 - du @ du.T
     return grad, np.triu(hess) + np.triu(hess, 1).T
 
@@ -196,7 +224,7 @@ def moment_matched_init(data) -> GtsParams:
     (lambda+ = lambda-), which makes kappa_2..kappa_4 solvable in closed form
     for (alpha+, alpha-, lambda); mu then matches kappa_1.  Negative
     side-intensity solutions are floored at 5% of the total intensity.
-    ValueError unless the data are finite and non-empty.
+    ValueError unless the data are a finite, non-empty 1-d array.
     """
     data = _check_data(data)
     m = float(data.mean())
@@ -252,9 +280,9 @@ def fit_grid(data, init: GtsParams, n_points: int | None = None) -> GridSpec:
     n = 256
     while np.pi * (n - 1) / xi_max < 1.5 * (hi - lo):
         n *= 2
-    f_n = _density_at_data(data, init, grid(n))[-1]
+    f_n = _density_at_data(_stencil(data, grid(n)), init)[-1]
     while 2 * n <= _FIT_GRID_CAP:
-        f_2n = _density_at_data(data, init, grid(2 * n))[-1]
+        f_2n = _density_at_data(_stencil(data, grid(2 * n)), init)[-1]
         if _stencil_ll_error(f_n, f_2n) <= _STENCIL_LL_TOL:
             return grid(n)
         n, f_n = 2 * n, f_2n
@@ -333,7 +361,8 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     <= 0), MaxIter (``max_iter`` accepted steps), NoProgress (no predicted
     rise, or a step that no longer moves z) and SingularHessian (``eigh``
     failed).  The grid, ``fit_grid``'s unless ``g`` is given and expanded to
-    cover the data, is planned once and reported as ``FitTrace.grid``.
+    cover the data, is planned and its interpolation stencil built once, and
+    it is reported as ``FitTrace.grid``.
     ValueError before any planning unless ``grad_tol`` is finite and >= 0 and
     ``max_iter`` an integer >= 0.
     """
@@ -341,12 +370,11 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
         raise ValueError(f"grad_tol must be finite and >= 0, got {grad_tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    data = _check_data(data)
-    plan = _plan_for(data, fit_grid(data, init) if g is None else g)
+    s = _stencil(data, fit_grid(data, init) if g is None else g)
     states: list[FitState] = []
     infeasible: Counter = Counter()
     z, p, radius, accepted = _coordinates(init), init, 1.0, True
-    density = _density_at_data(data, p, plan)  # the start's errors propagate
+    density = _density_at_data(s, p)  # the start's errors propagate
     l, (grad, hess) = _log_likelihood(density), _score_and_hessian(density, p)
     while True:
         if accepted:
@@ -369,7 +397,7 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
             break
         try:
             p_new = GtsParams.from_vector(_from_coordinates(z + step)[0])
-            density = _density_at_data(data, p_new, plan)
+            density = _density_at_data(s, p_new)
             l_new = _log_likelihood(density)
             rho = (l_new - l) / predicted
             if accepted := rho > 0.15:
@@ -384,7 +412,7 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
         if accepted:
             z, p, l = z + step, p_new, l_new
     return FitTrace(tuple(states), reason == "GradientTol", reason, dict(infeasible),
-                    plan.grid)
+                    s.plan.grid)
 
 
 def trace_rows(trace: FitTrace) -> list[list]:

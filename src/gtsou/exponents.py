@@ -146,7 +146,8 @@ def _expm1_moments(z: np.ndarray) -> tuple:
     zs = z[small]
     acc = np.zeros((3,) + zs.shape, dtype=complex)
     for c in _I_SERIES[:, ::-1].T:  # one Horner step for all three series
-        acc = acc * zs + c[:, None]
+        acc *= zs
+        acc += c[:, None]
     out[:, small] = acc
     zl = z[~small]
     ez = _cexp(zl)

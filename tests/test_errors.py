@@ -17,10 +17,13 @@ from gtsou import (
     SeriesKind,
     ensemble_moments,
     ingest,
+    log_likelihood,
+    moment_matched_init,
     psi_one_sided,
 )
 from gtsou.io import write_paths_csv
 
+GRID = GridSpec(256, x_min=-1.0, x_max=1.0, xi_max=10.0)
 CFG = OuConfig(lambda_rate=1.0, dt=1.0, x0=0.0, n_steps=2)
 FIELDS = EQUITY_PARAMS.to_dict()
 
@@ -78,6 +81,13 @@ CASES = [
      r"expected a 7-vector, got shape \(6,\)"),
     ("vector-as-matrix", lambda _: GtsParams.from_vector(np.zeros((7, 1))),
      r"expected a 7-vector, got shape \(7, 1\)"),
+    ("likelihood-data-as-matrix",
+     lambda _: log_likelihood(np.zeros((50, 2)), EQUITY_PARAMS, GRID),
+     r"data must be a 1-d array of observations, got shape \(50, 2\)"),
+    ("likelihood-data-scalar", lambda _: log_likelihood(0.25, EQUITY_PARAMS, GRID),
+     r"data must be a 1-d array of observations, got shape \(\)"),
+    ("init-data-as-matrix", lambda _: moment_matched_init(np.ones((50, 2))),
+     r"data must be a 1-d array of observations, got shape \(50, 2\)"),
 ]
 
 

@@ -118,13 +118,63 @@ def test_score_and_hessian_match_central_differences(sample, p, request):
     assert np.array_equal(hess, hess.T)
 
 
+# --- the per-call stencil route, kept as the reference ---------------------
+
+def per_call_stencil(plan, data):
+    """Indices and weights, each (len(data), 4), of the cubic Lagrange
+    stencil, rebuilt on every evaluation: the route the fit's one
+    ``_Stencil`` replaced."""
+    t = (data - plan.grid.x_min) / plan.dx
+    start = np.clip(np.floor(t).astype(int) - 1, 0, plan.x.size - 4)
+    t = t - (start + 1)
+    w = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
+                  (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                  -(t + 1.0) * t * (t - 2.0) / 2.0,
+                  (t + 1.0) * t * (t - 1.0) / 6.0], axis=1)
+    return start[:, None] + np.arange(4), w
+
+
+def per_call_density(data, p, g):
+    """(plan, cf, pdf, (idx, w), f at the data), each row reduced by
+    ``np.sum(row[idx] * w, axis=1)``."""
+    from gtsou.exponents import psi_gts
+
+    plan = estimation._plan_for(data, g)
+    cf = np.exp(psi_gts(plan.xi_half, p))
+    pdf = plan.pdf(cf)[0]
+    idx, w = per_call_stencil(plan, data)
+    return plan, cf, pdf, (idx, w), np.sum(pdf[idx] * w, axis=1)
+
+
+def per_call_score_and_hessian(density, p):
+    """The score and Hessian from a ``per_call_density`` result, with the
+    floored observations always gathered out."""
+    from gtsou.estimation import PDF_FLOOR
+    from gtsou.exponents import psi_gts_derivatives
+
+    plan, cf, pdf, (idx, w), f = density
+    live = f > PDF_FLOOR
+    idx, w, f = idx[live], w[live], f[live]
+    keep = pdf > 0.0
+    first, second = psi_gts_derivatives(plan.xi_half, p)
+    du = np.array([np.sum(np.where(keep, plan.raw(d * cf), 0.0)[idx] * w, axis=1)
+                   for d in first]) / f
+    c = np.bincount(idx.ravel(), (w / f[:, None]).ravel(), minlength=plan.x.size)
+    a = plan.adjoint(np.where(keep, c, 0.0)) * cf
+    d2 = np.real((first * a) @ first.T)
+    for (j, k), s in second.items():
+        d2[j, k] += np.real(a @ s)
+    hess = d2 - du @ du.T
+    return du.sum(axis=1), np.triu(hess) + np.triu(hess, 1).T
+
+
 def streamed_score_and_hessian(data, p, g):
     """Reference score and Hessian that inverts every one of the 7 + 28
     differentiated spectra through ``InversionPlan.raw``, one at a time."""
-    from gtsou.estimation import PDF_FLOOR, _density_at_data
+    from gtsou.estimation import PDF_FLOOR
     from gtsou.exponents import psi_gts_derivatives
 
-    plan, cf, pdf, (idx, w), f = _density_at_data(data, p, g)
+    plan, cf, pdf, (idx, w), f = per_call_density(data, p, g)
     live = f > PDF_FLOOR
     idx, w, f = idx[live], w[live], f[live]
     keep = pdf > 0.0
@@ -243,11 +293,53 @@ def test_fit_grid_budget_on_c8(c8_sample):
     assert fit_grid(data, init, n_points=256).n_points == 256
     # only the count is budgeted: range and cutoff are those of a given count
     assert g == fit_grid(data, init, n_points=8192)
-    f = {n: estimation._density_at_data(data, init, GridSpec(n, g.x_min, g.x_max,
-                                                              g.xi_max))[-1]
+    f = {n: estimation._density_at_data(
+             estimation._stencil(data, GridSpec(n, g.x_min, g.x_max, g.xi_max)), init)[-1]
          for n in (4096, 8192, 16384)}
     assert estimation._stencil_ll_error(f[4096], f[8192]) > estimation._STENCIL_LL_TOL
     assert estimation._stencil_ll_error(f[8192], f[16384]) <= estimation._STENCIL_LL_TOL
+
+
+def test_fit_builds_one_stencil(c8_sample, monkeypatch):
+    # C8's recipe on a given grid: the fit builds its interpolation stencil
+    # once (the per-call route built one per evaluation, 22 here), and the
+    # public likelihood, score and Hessian at the start equal the fit's
+    # first state exactly
+    data, init = c8_sample
+    g = fit_grid(data, init)
+    built = []
+    original = estimation._stencil
+    monkeypatch.setattr(estimation, "_stencil",
+                        lambda d, grid: built.append(grid) or original(d, grid))
+    trace = fit(data, init, grad_tol=1e-3, g=g)
+    assert built == [g]
+    assert trace.reason == "GradientTol" and len(trace.states) > 1
+    monkeypatch.undo()
+    start = trace.states[0]
+    grad, hess = score_and_hessian(data, init, g)
+    assert log_likelihood(data, init, g) == start.log_likelihood
+    assert np.array_equal(grad, start.gradient)
+    assert np.array_equal(hess, start.hessian)
+
+
+@pytest.mark.parametrize("grad_tol", [1e-3, 1e-4])
+def test_fit_matches_the_per_call_stencil_route(c8_sample, monkeypatch, grad_tol):
+    # the same trust-region loop on the per-call route (a fresh (m, 4)
+    # stencil per evaluation and np.sum over its axis of 4) visits the same
+    # states, bit for bit
+    data, init = c8_sample
+    trace = fit(data, init, grad_tol=grad_tol)
+    monkeypatch.setattr(estimation, "_density_at_data",
+                        lambda stencil, p: per_call_density(data, p, stencil.plan))
+    monkeypatch.setattr(estimation, "_score_and_hessian", per_call_score_and_hessian)
+    reference = fit(data, init, grad_tol=grad_tol)
+    assert (trace.reason, trace.grid) == (reference.reason, reference.grid)
+    assert len(trace.states) == len(reference.states) > 10
+    for got, ref in zip(trace.states, reference.states):
+        assert got.params == ref.params
+        assert got.log_likelihood == ref.log_likelihood
+        assert got.gradient.tobytes() == ref.gradient.tobytes()
+        assert got.hessian.tobytes() == ref.hessian.tobytes()
 
 
 def test_fit_on_the_budgeted_grid_matches_16384_points(c8_sample):
@@ -289,9 +381,9 @@ def test_fit_grid_refuses_past_the_cap(c8_sample, monkeypatch):
     original = estimation._density_at_data
     built = []
 
-    def spy(data, p, g):
-        built.append(g.n_points)
-        return original(data, p, g)
+    def spy(stencil, p):
+        built.append(stencil.plan.grid.n_points)
+        return original(stencil, p)
 
     monkeypatch.setattr(estimation, "_density_at_data", spy)
     with pytest.raises(NormalizationError, match="stencil's log-likelihood error"):
@@ -492,7 +584,7 @@ def test_fit_inverts_each_point_once(compact_fit, monkeypatch):
     seen = []
     real = estimation._density_at_data
     monkeypatch.setattr(estimation, "_density_at_data",
-                        lambda d, p, grid: seen.append(p) or real(d, p, grid))
+                        lambda stencil, p: seen.append(p) or real(stencil, p))
     again = fit(data, moment_matched_init(data), grad_tol=1e-2, max_iter=120, g=g)
     assert [s.params for s in again.states] == [s.params for s in trace.states]
     assert all(a != b for a, b in zip(seen, seen[1:]))
@@ -600,11 +692,11 @@ def test_fit_rejects_infeasible_proposals(compact_fit, monkeypatch):
     original = estimation._density_at_data
     refused = []
 
-    def cut_density(data, p, g):
+    def cut_density(stencil, p):
         if p.beta_plus > cut:
             refused.append(p.beta_plus)
             raise NormalizationError(f"beta_plus={p.beta_plus:g} above the cut")
-        return original(data, p, g)
+        return original(stencil, p)
 
     monkeypatch.setattr(estimation, "_density_at_data", cut_density)
     trace = fit(data, init, grad_tol=1e-2, max_iter=120, g=g)
@@ -622,11 +714,11 @@ def test_fit_counts_one_infeasible_proposal(compact_fit, monkeypatch):
     original = estimation._density_at_data
     calls = []
 
-    def fail_first_proposal(data, p, g):
+    def fail_first_proposal(stencil, p):
         calls.append(p)
         if len(calls) == 2:
             raise FloatingPointError("overflow in the first proposal")
-        return original(data, p, g)
+        return original(stencil, p)
 
     monkeypatch.setattr(estimation, "_density_at_data", fail_first_proposal)
     again = fit(data, moment_matched_init(data), grad_tol=1e-2, max_iter=120, g=g)
