@@ -212,7 +212,7 @@ def max_eigenvalue(h) -> float:
         raise ValueError("max_eigenvalue expects a square matrix")
     if not np.isfinite(a).all():
         raise ValueError("max_eigenvalue: the matrix is not finite (nan or inf entry)")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(a).max())):
+    if not np.abs(a - a.T).max() <= 1e-8 * max(1.0, np.abs(a).max()):
         raise ValueError("max_eigenvalue expects a symmetric matrix")
     return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
 

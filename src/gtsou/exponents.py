@@ -96,6 +96,21 @@ def _cexpm1(z: np.ndarray) -> np.ndarray:
     return _complex(re, s)
 
 
+def _cexp_and_expm1(z: np.ndarray) -> tuple:
+    """(``_cexp(z)``, ``_cexpm1(z)``) bit for bit, from one ``_half_angle`` and
+    one real exp: the two share their imaginary part sin(y) e^x."""
+    w, s = _half_angle(z.imag)
+    ex = np.exp(z.real)
+    s *= ex
+    re = np.subtract(1.0, w)
+    re *= np.expm1(z.real)
+    re -= w
+    em1 = _complex(re, s)
+    w *= ex
+    ex -= w
+    return _complex(ex, s), em1
+
+
 def _two_sided(x, p: GtsParams, one_sided):
     """mu*i*x + one_sided(x, plus parameters) + one_sided(-x, minus parameters),
     summed in that order."""
@@ -150,8 +165,8 @@ def _expm1_moments(z: np.ndarray) -> tuple:
         acc += c[:, None]
     out[:, small] = acc
     zl = z[~small]
-    ez = _cexp(zl)
-    prev = _cexpm1(zl) / zl
+    ez, prev = _cexp_and_expm1(zl)
+    prev /= zl
     out[0][~small] = prev
     for m in (1, 2):
         prev = (ez - m * prev) / zl
@@ -185,7 +200,7 @@ def psi_one_sided_derivatives(xi, beta: float, alpha: float, lam: float) -> tupl
     digamma, a2 = digamma_trigamma(1.0 - beta)  # a2 = d2 log A / dbeta2
     a1 = np.log(lam) - digamma  # d log A / dbeta
     d_alpha_beta = -a * (a1 * b0 + b1)
-    em1 = _cexpm1((beta - 1.0) * log_ratio)
+    e1, em1 = _cexp_and_expm1((beta - 1.0) * log_ratio)
     d_alpha_lam = -gamma(1.0 - beta) * lam ** (beta - 1.0) * em1
     first = (alpha * d_alpha_beta, -a * b0, alpha * d_alpha_lam)
     second = {
@@ -193,7 +208,7 @@ def psi_one_sided_derivatives(xi, beta: float, alpha: float, lam: float) -> tupl
         (0, 1): d_alpha_beta,
         (0, 2): alpha * d_alpha_lam * a1
         - alpha * gamma(1.0 - beta) * lam ** (beta - 1.0)
-        * log_ratio * _cexp((beta - 1.0) * log_ratio),
+        * log_ratio * e1,
         (1, 2): d_alpha_lam,
         (2, 2): alpha * gamma(2.0 - beta) * lam ** (beta - 2.0)
         * _cexpm1((beta - 2.0) * log_ratio),

@@ -183,6 +183,58 @@ def half_frequencies(g: GridSpec) -> np.ndarray:
     return np.arange(top + 1) * dxi
 
 
+# Frequency nodes per block of invert_cf: a power of two, so a block of
+# min(n, _BLOCK) nodes starting at a multiple of its size lies inside one
+# half-period [qn, (q+1)n) of the fold, whose nodes land on distinct,
+# consecutive bins.
+_BLOCK = 4096
+
+
+def _fold_data(g: GridSpec, k: np.ndarray) -> tuple:
+    """(bins, sign, w, to_x) of the frequency nodes k: the half-spectrum bin
+    of each node under the forward DFT e^(-2 pi i k j / N) and the sign of
+    its imaginary part there, -1 where node k lands conjugated on bin
+    N - (k mod N); the trapezoid weight times the x_min shift phase; and the
+    factor that scales a spectrum value before the fold.  Each entry depends
+    on its own node only."""
+    n = g.n_points
+    dx, _, top = _spacings(g)
+    m = k % (2 * n)
+    bins = np.where(m > n, 2 * n - m, m)
+    sign = np.where(m > n, -1.0, 1.0)
+    w = np.where(k == top, 0.5, 1.0) \
+        * np.exp(-1j * np.pi * phase_mod2(g.x_min / (n * dx), k))
+    # irfft counts bins 0 and n once and every other bin twice, so a node
+    # k > 0 folded onto 0 or n carries its mirror -k there itself
+    to_x = np.where((k > 0) & (bins % n == 0), 2.0, 1.0) * w / dx
+    return bins, sign, w, to_x
+
+
+def _fold(spectrum, bins, sign, t) -> None:
+    """Add the node terms t (spectrum values times to_x) onto their bins of
+    the half spectrum; irfft sums e^(+2 pi i k j / N), so the spectrum is
+    stored conjugated.  Each bin's sum starts at +0.0 and takes its terms in
+    node order."""
+    size = spectrum.size
+    spectrum.real += np.bincount(bins, t.real, size)
+    spectrum.imag += np.bincount(bins, -sign * t.imag, size)
+
+
+def _clipped(pdf, x, g: GridSpec) -> tuple:
+    """(``pdf`` clipped nonnegative, its trapezoid mass on ``x``).  Raises
+    NormalizationError when the mass deviates from 1 by more than 1e-3 or is
+    not finite."""
+    pdf = np.where(pdf < 0.0, 0.0, pdf)  # trapezoid ringing is tiny by contract
+    mass = float(np.trapezoid(pdf, x))
+    if not abs(mass - 1.0) <= 1e-3:
+        cause = (f"density mass {mass:.6f} deviates from 1 by more than 1e-3"
+                 if np.isfinite(mass) else f"density mass is not finite ({mass})")
+        raise NormalizationError(
+            f"{cause} ({g.n_points} points, xi_max={g.xi_max:g}, "
+            f"x-range [{g.x_min:g}, {g.x_max:g}])")
+    return pdf, mass
+
+
 class InversionPlan:
     """Every array of the inversion that depends only on the grid.
 
@@ -193,30 +245,21 @@ class InversionPlan:
     e^(-i k dxi x_min).  Node k adds to bin k mod N of the stored half
     spectrum, or conjugated to bin N - (k mod N) where k mod N > N/2; the fold
     is exact for any K, since the DFT sees only k mod N.  Built once per
-    GridSpec, so ``raw``, ``pdf`` and ``adjoint`` cost one real FFT each.
+    GridSpec, so ``raw``, ``pdf`` and ``adjoint`` cost one real FFT each; it
+    keeps K-length arrays, which ``invert_cf`` does not hold.
     """
 
     def __init__(self, g: GridSpec):
         n = g.n_points
         dx, dxi, top = _spacings(g)
         k = np.arange(top + 1)
-        m = k % (2 * n)
         self.grid = g
         self.x = np.linspace(g.x_min, g.x_max, n)
         self.dx = dx
         self.xi_half = k * dxi
-        # the half-spectrum bin of each node under the forward DFT
-        # e^(-2 pi i k j / N), and the sign of its imaginary part there: -1
-        # where node k lands conjugated on bin N - (k mod N)
-        self.bins = np.where(m > n, 2 * n - m, m)
-        self.sign = np.where(m > n, -1.0, 1.0)
-        # trapezoid weight times the x_min shift phase; raw scales the spectrum
-        # by to_x before the fold, adjoint scales its read-back by to_xi
-        w = np.where(k == top, 0.5, 1.0) \
-            * np.exp(-1j * np.pi * phase_mod2(g.x_min / (n * dx), k))
-        # irfft counts bins 0 and n once and every other bin twice, so a node
-        # k > 0 folded onto 0 or n carries its mirror -k there itself
-        self.to_x = np.where((k > 0) & (self.bins % n == 0), 2.0, 1.0) * w / dx
+        # raw scales the spectrum by to_x before the fold, adjoint scales its
+        # read-back by to_xi
+        self.bins, self.sign, w, self.to_x = _fold_data(g, k)
         self.to_xi = np.where(k > 0, 2.0, 1.0) * w / (2 * n * dx)
         for arr in (self.x, self.xi_half, self.bins, self.sign, self.to_x, self.to_xi):
             arr.setflags(write=False)
@@ -227,11 +270,8 @@ class InversionPlan:
         so a spectrum d/dtheta e^psi gives the theta-derivative of the
         unclipped density."""
         n = self.grid.n_points
-        t = self.to_x * cf_half
-        spectrum = np.empty(n + 1, dtype=complex)
-        spectrum.real = np.bincount(self.bins, t.real, n + 1)
-        # irfft sums e^(+2 pi i k j / N), so it takes the conjugate spectrum
-        spectrum.imag = np.bincount(self.bins, -self.sign * t.imag, n + 1)
+        spectrum = np.zeros(n + 1, dtype=complex)
+        _fold(spectrum, self.bins, self.sign, self.to_x * cf_half)
         return np.fft.irfft(spectrum, 2 * n)[:n]
 
     def adjoint(self, c) -> np.ndarray:
@@ -247,17 +287,27 @@ class InversionPlan:
         1 by the tail mass outside the window) from the characteristic
         function on ``xi_half``.  Raises NormalizationError when the mass
         deviates from 1 by more than 1e-3 or is not finite."""
-        g = self.grid
-        pdf = self.raw(cf_half)
-        pdf = np.where(pdf < 0.0, 0.0, pdf)  # trapezoid ringing is tiny by contract
-        mass = float(np.trapezoid(pdf, self.x))
-        if not abs(mass - 1.0) <= 1e-3:
-            cause = (f"density mass {mass:.6f} deviates from 1 by more than 1e-3"
-                     if np.isfinite(mass) else f"density mass is not finite ({mass})")
-            raise NormalizationError(
-                f"{cause} ({g.n_points} points, xi_max={g.xi_max:g}, "
-                f"x-range [{g.x_min:g}, {g.x_max:g}])")
-        return pdf, mass
+        return _clipped(self.raw(cf_half), self.x, self.grid)
+
+
+def _raw_in_blocks(exponent, g: GridSpec) -> np.ndarray:
+    """``InversionPlan(g).raw`` of exp(exponent), bit for bit, holding one
+    block of nodes at a time.  A block meets each bin at most once, so adding
+    its bincount to the running spectrum adds each bin's terms in node order,
+    as one bincount over all nodes does."""
+    n = g.n_points
+    _, dxi, top = _spacings(g)
+    block = min(n, _BLOCK)
+    for start in range(0, top + 1, block):
+        k = np.arange(start, min(start + block, top + 1))
+        cf = np.exp(exponent(k * dxi))
+        if not start:  # made after the first call, so that call's peak is its own
+            spectrum = np.zeros(n + 1, dtype=complex)
+        bins, sign, _, to_x = _fold_data(g, k)
+        # a fold onto the block's window of bins costs nothing that grows with n
+        lo = bins.min()
+        _fold(spectrum[lo:lo + k.size], bins - lo, sign, to_x * cf)
+    return np.fft.irfft(spectrum, 2 * n)[:n]
 
 
 def invert_cf(exponent, g: GridSpec) -> DensityGrid:
@@ -265,23 +315,23 @@ def invert_cf(exponent, g: GridSpec) -> DensityGrid:
 
     ``exponent`` maps an array of frequencies to the log characteristic
     function; it must satisfy exponent(0)=0 and Hermitian symmetry (only the
-    nonnegative half is evaluated, the rest is mirrored).  The oscillatory
-    integral is evaluated as a trapezoid sum collapsed onto the x grid by
-    one real inverse FFT, through a one-shot InversionPlan.
+    nonnegative half is evaluated, the rest is mirrored), and be elementwise:
+    its value at a frequency must not depend on the array around it.  The
+    oscillatory integral is evaluated as a trapezoid sum collapsed onto the x
+    grid by one real inverse FFT.  The exponent is called on consecutive
+    blocks of at most min(n_points, 4096) nodes, which are folded onto the
+    spectrum one at a time, so memory does not grow with K.
 
     Raises NormalizationError if the recovered mass deviates from 1 by more
     than 1e-3 or is not finite; tiny negative ringing lobes are clipped to
     zero and the table renormalized, as the likelihood's density is not.
     """
-    # the exponent runs before the plan exists, so the plan's arrays never add
-    # to its peak
-    cf_half = np.exp(exponent(half_frequencies(g)))
-    plan = InversionPlan(g)
-    pdf, mass = plan.pdf(cf_half)
-    pdf, x, dx = pdf / mass, plan.x, plan.dx
-    del cf_half, plan
-
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
+    # x is made after the exponent calls, and the raw density is not kept past
+    # its clip, so neither adds to a peak
+    pdf, mass = _clipped(_raw_in_blocks(exponent, g),
+                         x := np.linspace(g.x_min, g.x_max, g.n_points), g)
+    pdf = pdf / mass
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * _spacings(g)[0])))
     cdf = np.minimum(cdf / cdf[-1], 1.0)
     return DensityGrid(x, pdf, cdf, raw_mass=mass)
 

@@ -71,10 +71,13 @@ def _gamma_series(s: float, x: np.ndarray) -> np.ndarray:
 def _gamma_fraction(s: float, x: np.ndarray) -> np.ndarray:
     """Gamma(s, x) = e^(-x) x^s / (x + 1 - s - 1 (1 - s) / (x + 3 - s - ...)),
     the Legendre continued fraction for s <= 0 and x >= 1/2, evaluated by the
-    modified Lentz method.  Each entry leaves the iteration once its step is
-    within rounding of 1: about 170 steps at x = 1/2, 5 at x = 700."""
+    modified Lentz method.  Each entry's value is recorded at the first step
+    within rounding of 1: about 170 steps at x = 1/2, 5 at x = 700.  Entries
+    that are done keep iterating, unread, until the live arrays are
+    compacted every 16 steps."""
     h = np.empty_like(x)
     live = np.arange(x.size)
+    pending = np.ones(x.size, dtype=bool)  # of the live entries, not yet recorded
     b = x + 1.0 - s
     d = 1.0 / b
     c = np.full_like(x, np.inf)  # the first step sets c = b
@@ -89,11 +92,15 @@ def _gamma_fraction(s: float, x: np.ndarray) -> np.ndarray:
         step = d * c
         acc = acc * step
         done = np.abs(step - 1.0) <= 1e-16
+        done &= pending
         if done.any():
             h[live[done]] = acc[done]
-            more = ~done
-            live, b, c, d, acc = live[more], b[more], c[more], d[more], acc[more]
-    h[live] = acc  # none are left: x >= 1/2 converges within about 170 steps
+            pending &= ~done
+            if not pending.any():
+                break
+        if i % 16 == 0:
+            live, b, c, d, acc, pending = (a[pending] for a in (live, b, c, d, acc, pending))
+    h[live[pending]] = acc[pending]  # none: x >= 1/2 converges within about 170 steps
     return np.exp(-x) * x**s * h
 
 

@@ -1,6 +1,8 @@
 """Characteristic-function inversion: closed-form recovery, grid policy,
 quantile interpolation, and the density -> CF round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -352,6 +354,57 @@ def test_plan_reuse_matches_fresh_calls():
         ref_pdf, ref_mass = direct_pdf(exponent, g)
         np.testing.assert_allclose(pdf / mass, ref_pdf, rtol=0.0, atol=1e-12)
         assert mass == pytest.approx(ref_mass, abs=1e-12)
+    # invert_cf folds the crypto BDLP law's K = 52444 nodes in 13 blocks of
+    # 4096, and still equals the plan's one fold of every node bit for bit
+    p = CRYPTO_PARAMS
+    k = cumulants(p, 2)
+    bdlp = lambda xi: bdlp_exponent(xi, p)
+    plan = InversionPlan(default_grid(bdlp, k[1], np.sqrt(2.0 * k[2])))
+    assert plan.grid.n_points == 16384 and plan.xi_half.size - 1 == 52444
+    pdf, mass = plan.pdf(np.exp(bdlp(plan.xi_half)))
+    d = invert_cf(bdlp, plan.grid)
+    assert np.array_equal(d.pdf, pdf / mass)
+    assert d.raw_mass == mass
+
+
+@pytest.mark.parametrize("preset, law, variance, n, calls", [
+    # the BDLP's variance is twice the GTS law's
+    (CRYPTO_PARAMS, bdlp_exponent, 2.0, 16384, 13),  # K = 52444: 12 blocks of 4096 and 3293
+    (EQUITY_PARAMS, psi_gts, 1.0, 1024, 2),  # K = 1334: blocks of n = 1024 nodes
+    (EQUITY_PARAMS, psi_gts, 1.0, 16384, 1),  # K = 1333: one block
+])
+def test_invert_cf_calls_the_exponent_on_blocks_of_nodes(preset, law, variance, n, calls):
+    # each call gets at most min(n, 4096) frequencies, and the calls cover the
+    # nodes 0..K once, in order
+    k = cumulants(preset, 2)
+    g = default_grid(lambda xi: law(xi, preset), k[1], np.sqrt(variance * k[2]), n_points=n)
+    seen = []
+
+    def recording(xi):
+        seen.append(np.array(xi))
+        return law(xi, preset)
+
+    invert_cf(recording, g)
+    assert len(seen) == calls
+    assert max(xi.size for xi in seen) <= min(n, 4096)
+    assert np.array_equal(np.concatenate(seen), half_frequencies(g))
+
+
+def test_invert_cf_memory_does_not_grow_with_the_cutoff():
+    # equity with beta+- = 0.15 has K = 818297 frequency nodes on its default
+    # grid; holding them all at once took about 98 MB
+    p = EQUITY_PARAMS.replace(beta_plus=0.15, beta_minus=0.15)
+    k = cumulants(p, 2)
+    exponent = lambda xi: psi_gts(xi, p)
+    g = default_grid(exponent, k[1], np.sqrt(k[2]))
+    assert half_frequencies(g).size - 1 == 818297
+    tracemalloc.start()
+    try:
+        invert_cf(exponent, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_plan_arrays_are_read_only():
@@ -411,6 +464,18 @@ def test_adjoint_transposes_raw_with_folding(case):
     raw, a = plan.raw(s), plan.adjoint(c)
     scale = max(np.abs(c) @ np.abs(raw), np.abs(a) @ np.abs(s))
     assert abs(c @ raw - np.real(a @ s)) <= 1e-13 * scale
+
+
+@_PROPERTY
+@given(grids_and_spectra(), st.floats(0.1, 3.0))
+def test_blocked_fold_equals_the_plan_bit_for_bit(case, freq):
+    # blocks of n nodes, one per half-period of the fold, land on ascending
+    # and on descending runs of bins, and the last is mostly partial
+    g = case[0]
+    exponent = lambda xi: np.cos(freq * xi) + 1j * np.sin(3.0 * freq * xi)
+    plan = InversionPlan(g)
+    assert np.array_equal(inversion._raw_in_blocks(exponent, g),
+                          plan.raw(np.exp(exponent(plan.xi_half))))
 
 
 def test_grid_spec_refuses_too_many_frequency_nodes():
