@@ -90,10 +90,15 @@ class _Stencil:
 
     def __init__(self, plan: InversionPlan, idx: np.ndarray, w: np.ndarray):
         self.plan, self.idx, self.w = plan, idx, w
-        # the same entries in observation order: S^T's bincount sums each
-        # node's terms in this order, which fixes the Hessian's bits
-        self.idx_by_obs = idx.T.ravel()
-        self.w_by_obs = w.T.copy()
+        self._by_obs = None
+
+    def by_observation(self) -> tuple:
+        """(nodes, weights), the same entries in observation order, built on
+        the first call (``fit_grid``'s probes never make one): S^T's bincount
+        sums each node's terms in this order, which fixes the Hessian's bits."""
+        if self._by_obs is None:
+            self._by_obs = self.idx.T.ravel(), self.w.T.copy()
+        return self._by_obs
 
     def apply(self, row: np.ndarray) -> np.ndarray:
         """S row: the interpolant of a grid row at each observation, as four
@@ -104,8 +109,8 @@ class _Stencil:
     def transpose_over(self, f: np.ndarray) -> np.ndarray:
         """S^T (1/f): each weight divided by its observation's f and summed
         onto the grid node it reads, observation by observation."""
-        return np.bincount(self.idx_by_obs, (self.w_by_obs / f[:, None]).ravel(),
-                           minlength=self.plan.x.size)
+        idx, w = self.by_observation()
+        return np.bincount(idx, (w / f[:, None]).ravel(), minlength=self.plan.x.size)
 
 
 def _stencil(data, g: GridSpec | InversionPlan) -> _Stencil:
@@ -265,6 +270,14 @@ def fit_grid(data, init: GtsParams, n_points: int | None = None) -> GridSpec:
     Richardson estimate of the log-likelihood error the cubic stencil adds,
     is at most ``_STENCIL_LL_TOL`` = 1e-5, measured at ``init`` only;
     NormalizationError if that needs more than 2^22 points."""
+    return _fit_grid(data, init, n_points)[0]
+
+
+def _fit_grid(data, init: GtsParams, n_points: int | None = None) -> tuple:
+    """(grid, stencil, start): ``fit_grid``'s grid and, when it chose the
+    point count, the ``_Stencil`` (with its plan) and ``_density_at_data`` of
+    init that it built on that grid, for a fit to reuse; None and None for a
+    given ``n_points``."""
     data = _check_data(data)
     k = cumulants(init, 2)
     sd = float(np.sqrt(k[2]))
@@ -275,17 +288,21 @@ def fit_grid(data, init: GtsParams, n_points: int | None = None) -> GridSpec:
     def grid(n: int) -> GridSpec:
         return GridSpec(n_points=n, x_min=lo, x_max=hi, xi_max=xi_max)
 
+    def start_on(n: int) -> tuple:
+        s = _stencil(data, grid(n))
+        return s, _density_at_data(s, init)
+
     if n_points is not None:
-        return grid(n_points)
+        return grid(n_points), None, None
     n = 256
     while np.pi * (n - 1) / xi_max < 1.5 * (hi - lo):
         n *= 2
-    f_n = _density_at_data(_stencil(data, grid(n)), init)[-1]
+    s, start = start_on(n)
     while 2 * n <= _FIT_GRID_CAP:
-        f_2n = _density_at_data(_stencil(data, grid(2 * n)), init)[-1]
-        if _stencil_ll_error(f_n, f_2n) <= _STENCIL_LL_TOL:
-            return grid(n)
-        n, f_n = 2 * n, f_2n
+        finer = start_on(2 * n)
+        if _stencil_ll_error(start[-1], finer[1][-1]) <= _STENCIL_LL_TOL:
+            return grid(n), s, start
+        n, (s, start) = 2 * n, finer
     raise NormalizationError(
         f"the stencil's log-likelihood error at {n} points is above "
         f"{_STENCIL_LL_TOL:g}, and a finer check would need more than {_FIT_GRID_CAP} points")
@@ -361,8 +378,9 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     <= 0), MaxIter (``max_iter`` accepted steps), NoProgress (no predicted
     rise, or a step that no longer moves z) and SingularHessian (``eigh``
     failed).  The grid, ``fit_grid``'s unless ``g`` is given and expanded to
-    cover the data, is planned and its interpolation stencil built once, and
-    it is reported as ``FitTrace.grid``.
+    cover the data, is planned and its interpolation stencil built once (a
+    chosen grid's plan, stencil and start density are ``fit_grid``'s own),
+    and it is reported as ``FitTrace.grid``.
     ValueError before any planning unless ``grad_tol`` is finite and >= 0 and
     ``max_iter`` an integer >= 0.
     """
@@ -370,11 +388,17 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
         raise ValueError(f"grad_tol must be finite and >= 0, got {grad_tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    s = _stencil(data, fit_grid(data, init) if g is None else g)
+    if g is None:
+        _, s, density = _fit_grid(data, init)
+    else:
+        s = _stencil(data, g)
+        density = _density_at_data(s, init)  # the start's errors propagate
+    # before the loop's temporaries: made inside the first score, these
+    # long-lived arrays sat above them and raised the fit's peak RSS 0.1 MB
+    s.by_observation()
     states: list[FitState] = []
     infeasible: Counter = Counter()
     z, p, radius, accepted = _coordinates(init), init, 1.0, True
-    density = _density_at_data(s, p)  # the start's errors propagate
     l, (grad, hess) = _log_likelihood(density), _score_and_hessian(density, p)
     while True:
         if accepted:

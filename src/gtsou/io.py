@@ -186,15 +186,22 @@ class _G15:
         frac = (p - whole) + (err + a * b_lo)  # |v| 10^(14-e) = whole + frac
         up = np.rint(frac)
         ok &= np.abs(frac - up) < 0.5 - 1e-9  # a near-tie goes to %
-        n = (whole + up).astype(np.int64)
-        ok &= ((n > 10**14) | ((whole == 10**14) & (frac >= 0.0))) & (n <= 10**15)
-        carry = n == 10**15
-        n[carry] = 10**14
+        n = whole + up
+        ok &= ((n > 1e14) | ((whole == 1e14) & (frac >= 0.0))) & (n <= 1e15)
+        carry = n == 1e15
+        n[carry] = 1e14
         e += carry
 
-        c0, rest = np.divmod(n, 10**12)
-        c1, rest = np.divmod(rest, 10**8)
-        c2, c3 = np.divmod(rest, 10**4)
+        # the 4-digit chunks by float floor division, exact for an integer
+        # n < 2^53: n / 10^j (j = 12, 8, 4; quotient below 10^4) lies at
+        # least 10^-12 below the next integer, several ulps
+        c0 = np.floor(n / 1e12)
+        n -= c0 * 1e12
+        c1 = np.floor(n / 1e8)
+        n -= c1 * 1e8
+        c2 = np.floor(n / 1e4)
+        n -= c2 * 1e4
+        c0, c1, c2, c3 = (c.astype(np.intp) for c in (c0, c1, c2, n))
         trailing = np.where(c3, zeros[c3], 4 + np.where(
             c2, zeros[c2], 4 + np.where(c1, zeros[c1], 4 + zeros[c0])))
         rows, index = self._rows[:v.size], self._index[:v.size]
@@ -227,15 +234,15 @@ def _write_table(path, header, columns, blank=None) -> None:
     The rows go out in blocks of about ``_BLOCK_CELLS`` cells.  Each block's
     row-major matrix is formatted by one ``_G15`` call into a line buffer that
     holds every cell NUL-padded to 22 bytes and followed by ',' or "\\r\\n";
-    the NULs are then dropped.  The buffers are allocated once per table."""
+    ``bytearray.translate`` then drops the NULs.  The line buffer is a
+    bytearray allocated once per table."""
     n, width = len(columns[0]), len(header)
     step = max(1, min(n, _BLOCK_CELLS // width))
     g15 = _G15(step * width)
-    lines = np.zeros((step, width, _G15_WIDTH + 2), dtype=np.uint8)
+    buffer = bytearray(step * width * (_G15_WIDTH + 2))
+    lines = np.frombuffer(buffer, dtype=np.uint8).reshape(step, width, -1)
     lines[:, :-1, _G15_WIDTH] = ord(",")
     lines[:, -1, _G15_WIDTH:] = (ord("\r"), ord("\n"))
-    keep = np.empty(lines.shape, dtype=bool)
-    packed = np.empty(lines.size, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
         for start in range(0, n, step):
@@ -244,10 +251,8 @@ def _write_table(path, header, columns, blank=None) -> None:
             g15(block, lines[:rows].reshape(rows * width, -1)[:, :_G15_WIDTH])
             if blank is not None:
                 lines[:rows][blank[start:start + rows], -1, :_G15_WIDTH] = 0
-            np.not_equal(lines[:rows], 0, out=keep[:rows])
-            size = np.count_nonzero(keep[:rows])
-            np.compress(keep[:rows].ravel(), lines[:rows].ravel(), out=packed[:size])
-            fh.write(packed[:size])
+            text = buffer if rows == step else buffer[:lines[:rows].size]
+            fh.write(text.translate(None, b"\0"))
 
 
 def emit_series(path, series: ReturnSeries) -> None:

@@ -24,7 +24,7 @@ from .cumulants import Cumulants, Marginal, StationaryMoments, cumulants, statio
 from .exponents import psi_gts, sd_exponent, sd_step_exponent
 from .inversion import default_grid, invert_cf, quantile
 from .params import GtsParams
-from .tempered import tempered_stable
+from .tempered import kanter_proposals, tempered_stable_rows
 
 # Longest lambda dt drawn in one piece.  The random integral over T splits at
 # h into one over h plus e^-h times an independent one over T - h, so a long
@@ -39,6 +39,13 @@ _MAX_SPAN = 37.0
 # Most steps a stationary start runs through, so lambda dt >= 37 / 2^20; at
 # the cap one path's start takes about 60 MB of working arrays.
 _MAX_START_STEPS = 2**20
+# Most first-round Kanter proposals one ``draw_group`` call holds, summed over
+# its generators.  A path's draw is about 140 numpy calls, on ~5.6k elements
+# at lambda dt = 0.1, so grouping a few paths per call saves per-call overhead
+# and the GIL hand-offs between calls; the budget keeps a group's buffers no
+# larger than the largest single path's (equity SD at lambda dt = 1 proposes
+# about 35k).  Groups of 4-5 paths at lambda dt = 0.1, 1-2 at 1.
+_GROUP_PROPOSALS = 2**15
 
 
 @dataclass(frozen=True)
@@ -142,15 +149,15 @@ def _exprel2(x: float) -> float:
     return (exprel(x) - 1.0) / x
 
 
-def _side_jumps(rng: np.random.Generator, n: int, beta: float, alpha: float,
-                lam: float, total: float, mode: Marginal) -> np.ndarray:
-    """n draws of one side's jump part of the increment, TS + CP, where
-    T = ``total`` = lambda dt and a = e^-T.
+def _side_law(beta: float, alpha: float, lam: float, total: float,
+              mode: Marginal) -> tuple:
+    """(c, theta, mean count) of one side's jump part of the increment,
+    TS + CP, where T = ``total`` = lambda dt and a = e^-T.
 
     Splitting the increment's Levy density at e^(-lam x / a) leaves a TS law
-    with Levy density c x^(-1-beta) e^(-(lam/a) x), and a finite compound
-    Poisson (CP) remainder whose jumps are Gamma(1-beta, rate lam e^V) for a
-    random V in [0, T].  With k = alpha Gamma(1-beta) lam^beta:
+    with Levy density c x^(-1-beta) e^(-theta x), theta = lam/a, and a finite
+    compound Poisson (CP) remainder whose jumps are Gamma(1-beta, rate
+    lam e^V) for a random V in [0, T].  With k = alpha Gamma(1-beta) lam^beta:
 
     * gts mode: c = alpha (1 - a^beta), CP rate k expm1(beta T)/beta, and V
       has density ~ e^(beta V);
@@ -165,11 +172,22 @@ def _side_jumps(rng: np.random.Generator, n: int, beta: float, alpha: float,
     else:
         c = alpha * total * exprel(-beta * total)
         rate = total * total * _exprel2(beta * total)
-    ts = tempered_stable(rng, n, beta, c, lam * np.exp(total))
-    counts = rng.poisson(alpha * gamma(1.0 - beta) * lam**beta * rate, n)
-    v = _mixing_times(rng, int(counts.sum()), beta, total, mode)
-    jumps = rng.standard_gamma(1.0 - beta, v.size) / (lam * np.exp(v))
-    return ts + np.bincount(np.repeat(np.arange(n), counts), jumps, minlength=n)
+    return c, lam * np.exp(total), alpha * gamma(1.0 - beta) * lam**beta * rate
+
+
+def _side_jumps(rngs, n: int, beta: float, alpha: float, lam: float,
+                total: float, mode: Marginal) -> np.ndarray:
+    """One row of n draws of one side's jump part of the increment
+    (``_side_law``) per generator in ``rngs``: the TS rows of
+    ``tempered_stable_rows``, then each generator's CP sums."""
+    c, theta, mean = _side_law(beta, alpha, lam, total, mode)
+    out = tempered_stable_rows(rngs, n, beta, c, theta)
+    for rng, row in zip(rngs, out):
+        counts = rng.poisson(mean, n)
+        v = _mixing_times(rng, int(counts.sum()), beta, total, mode)
+        jumps = rng.standard_gamma(1.0 - beta, v.size) / (lam * np.exp(v))
+        row += np.bincount(np.repeat(np.arange(n), counts), jumps, minlength=n)
+    return out
 
 
 def _mixing_times(rng: np.random.Generator, n: int, beta: float, total: float,
@@ -209,18 +227,41 @@ class IncrementSampler:
     config: OuConfig
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.draw_group([rng], size)[0]
+
+    def draw_group(self, rngs, size: int) -> np.ndarray:
+        """One row of ``size`` increments per generator in ``rngs``, row i bit
+        for bit ``draw(rngs[i], size)``: each side's TS rows come from
+        ``tempered_stable_rows``, whose Kanter round runs once for the group.
+        The generators must be distinct."""
         c = self.config
-        total = c.lambda_rate * c.dt
-        span = min(total, _MAX_SPAN)
-        n_sub = max(1, ceil(span / _MAX_SUBSTEP))
-        h = span / n_sub
-        jumps = np.zeros(size)
+        n_sub, h = _substeps(c)
+        jumps = np.zeros((len(rngs), size))
         for _ in range(n_sub):
             jumps *= np.exp(-h)
             for sign, beta, alpha, lam in self.params.sides():
                 if alpha > 0.0:
-                    jumps += sign * _side_jumps(rng, size, beta, alpha, lam, h, c.mode)
-        return -self.params.mu * np.expm1(-total) + jumps
+                    jumps += sign * _side_jumps(rngs, size, beta, alpha, lam, h, c.mode)
+        return -self.params.mu * np.expm1(-c.lambda_rate * c.dt) + jumps
+
+
+def _substeps(c: OuConfig) -> tuple:
+    """(n, h): an increment's n sub-steps, each of lambda dt = h."""
+    span = min(c.lambda_rate * c.dt, _MAX_SPAN)
+    n_sub = max(1, ceil(span / _MAX_SUBSTEP))
+    return n_sub, span / n_sub
+
+
+def _group_size(p: GtsParams, c: OuConfig, size: int) -> int:
+    """Generators per ``draw_group`` call of ``size`` increments: the most
+    whose first Kanter rounds hold ``_GROUP_PROPOSALS`` proposals together,
+    and at least one.  A generator's count is the most any side proposes,
+    at least ``size``."""
+    h = _substeps(c)[1]
+    laws = [(beta, *_side_law(beta, alpha, lam, h, c.mode)[:2])
+            for _, beta, alpha, lam in p.sides() if alpha > 0.0]
+    most = max([1, size] + [kanter_proposals(size, *law) for law in laws])
+    return max(1, _GROUP_PROPOSALS // most)
 
 
 def build_increment_sampler(p: GtsParams, c: OuConfig) -> IncrementSampler:
@@ -262,10 +303,12 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
     The draws run on w = min(len(rngs), usable cores) threads: share k draws
     generators k, k + w, ..., share 0 on the calling thread and shares 1 to
     w - 1 on a pool, which starts no thread when w = 1; numpy releases the GIL
-    in its random fills and float loops.  A path reads its own generator
-    alone, so the paths do not depend on the core count.  A generator listed
-    twice (or two sharing one bit generator) draws its paths in list order,
-    each from where the previous one stopped, so such a list has w = 1.
+    in its random fills and float loops.  A share is drawn in near-equal
+    groups of at most ``_group_size`` generators, one ``draw_group`` call
+    each.  A path reads its own generator alone, so the paths do not depend
+    on the core count or the grouping.  A generator listed twice (or two
+    sharing one bit generator) draws its paths in list order, each from where
+    the previous one stopped, so such a list has w = 1 and groups of one.
     """
     if len(rngs) == 0:
         raise ValueError("rngs is an empty list: give one generator per path")
@@ -280,20 +323,30 @@ def simulate_paths(p: GtsParams, c: OuConfig, rngs,
     x[0] = p.mu if c.stationary_start else c.x0
 
     def draw_share(k: int) -> None:
-        for j in range(k, len(rngs), workers):
-            x[1:, j] = sampler.draw(rngs[j], n)
+        share = range(k, len(rngs), workers)
+        groups = -(-len(share) // group)
+        for g in range(groups):
+            cols = share[g * len(share) // groups:(g + 1) * len(share) // groups]
+            x[1:, cols.start:cols.stop:cols.step] = sampler.draw_group(
+                [rngs[j] for j in cols], n).T
 
     streams = {id(getattr(rng, "bit_generator", rng)) for rng in rngs}
-    workers = min(len(rngs), _usable_cpus()) if len(streams) == len(rngs) else 1
+    distinct = len(streams) == len(rngs)
+    workers = min(len(rngs), _usable_cpus()) if distinct else 1
+    group = _group_size(p, c, n) if distinct else 1
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
         shares = pool.map(draw_share, range(1, workers))
         draw_share(0)
         list(shares)  # re-raises a worker's exception
 
-    a = c.a
-    damped = np.empty(len(rngs))
-    for prev, row in zip(x, x[1:]):
-        np.add(row, np.multiply(prev, a, out=damped), out=row)
+    # a as an array (numpy would convert a Python float again on every row)
+    # and the ufuncs bound once: the loop runs n times on rows of a few paths
+    a, damped = np.full(len(rngs), c.a), np.empty(len(rngs))
+    add, multiply = np.add, np.multiply
+    prev = x[0]
+    for row in x[1:]:
+        add(row, multiply(prev, a, out=damped), out=row)
+        prev = row
     return [SamplePath(column[m:].copy(), c) for column in x.T]
 
 

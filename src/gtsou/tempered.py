@@ -50,14 +50,44 @@ def tempered_stable(rng: np.random.Generator, n: int, beta: float, c: float,
                     theta: float) -> np.ndarray:
     """n i.i.d. TS variates with Levy density c x^(-1-beta) e^(-theta x);
     zeros when c = 0."""
+    return tempered_stable_rows([rng], n, beta, c, theta)[0]
+
+
+def tempered_stable_rows(rngs, n: int, beta: float, c: float,
+                         theta: float) -> np.ndarray:
+    """One row of ``tempered_stable(rng, n, beta, c, theta)`` per generator
+    in ``rngs``, each bit for bit what that generator gives alone.  Kanter's
+    first round runs its arithmetic once over all rows; the gamma route and
+    double rejection run a generator at a time.  A generator listed twice
+    would draw its first round twice before either row's later rounds, so
+    the generators must be distinct."""
     if c == 0.0 or n == 0:
-        return np.zeros(n)
+        return np.zeros((len(rngs), n))
     if beta == 0.0:
-        return rng.standard_gamma(c, n) / theta
-    lam = c * gamma(1.0 - beta) * theta**beta / beta
-    if lam <= LAMBDA0:
-        return _kanter(rng, n, beta, lam, max(1, ceil(lam))) / theta
-    return _double_rejection(rng, n, beta, lam) / theta
+        out = np.stack([rng.standard_gamma(c, n) for rng in rngs])
+    elif (lam := _lambda(beta, c, theta)) <= LAMBDA0:
+        out = _kanter(rngs, n, beta, lam, max(1, ceil(lam)))
+    else:
+        out = np.stack([_double_rejection(rng, n, beta, lam) for rng in rngs])
+    out /= theta
+    return out
+
+
+def kanter_proposals(n: int, beta: float, c: float, theta: float) -> int:
+    """Proposals per generator in Kanter's first round of
+    ``tempered_stable_rows``; 0 off Kanter's route."""
+    if c == 0.0 or n == 0 or beta == 0.0:
+        return 0
+    lam = _lambda(beta, c, theta)
+    if lam > LAMBDA0:
+        return 0
+    m = max(1, ceil(lam))
+    return _proposals(n * m, lam, m)
+
+
+def _lambda(beta: float, c: float, theta: float) -> float:
+    """Lam = c Gamma(1-beta) theta^beta / beta, for beta > 0."""
+    return c * gamma(1.0 - beta) * theta**beta / beta
 
 
 def _log_inv_sinc(h: np.ndarray) -> np.ndarray:
@@ -89,34 +119,68 @@ def _log_zeta2(u: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def _kanter(rng: np.random.Generator, n: int, beta: float, lam: float,
-            m: int) -> np.ndarray:
-    """n draws of theta * TS, each the sum of m tilted pieces of parameter
-    lam/m.  A piece is (lam/m)^(1/beta) (A(U)/X)^((1-beta)/beta), accepted when
-    an Exp(1) variate exceeds it."""
+def _proposals(need: int, lam: float, m: int) -> int:
+    """Proposals for one Kanter round short of ``need`` pieces: about
+    need e^(lam/m), with 5% and 16 to spare."""
+    return int(need * exp(lam / m) * 1.05) + 16
+
+
+def _kanter_round(rngs, k: int, beta: float, shift: float) -> tuple:
+    """(pieces, accepted): one round of k proposals per generator, a row each.
+    A piece is exp((shift + log zeta^2(pi U) - (1-beta) log X) / beta), with
+    U uniform on [0, 1) and X ~ Exp(1), accepted when an Exp(1) variate E
+    exceeds it.  Each generator reads U, X, E in turn from its own stream,
+    each into its row of one buffer once the buffer's last use is done."""
+    draws = np.empty((len(rngs), k))
+    with np.errstate(over="ignore"):
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        draws *= pi
+        piece = _log_zeta2(draws, beta)
+        piece += shift
+        for rng, row in zip(rngs, draws):
+            rng.standard_exponential(out=row)
+        np.log(draws, out=draws)
+        draws *= 1.0 - beta
+        piece -= draws
+        piece /= beta
+        np.exp(piece, out=piece)
+    for rng, row in zip(rngs, draws):
+        rng.standard_exponential(out=row)
+    return piece, draws > piece
+
+
+def _kanter(rngs, n: int, beta: float, lam: float, m: int) -> np.ndarray:
+    """One row of n draws of theta * TS per generator, each draw the sum of m
+    tilted pieces of parameter lam/m.  A piece is (lam/m)^(1/beta)
+    (A(U)/X)^((1-beta)/beta), accepted when an Exp(1) variate exceeds it.
+
+    The first round runs its arithmetic once over all generators' proposals;
+    a row short of n m accepted pieces then draws further rounds from its own
+    generator."""
     need = n * m
     # log piece = (log(lam/m) + log A(U)^(1-beta) - (1-beta) log X) / beta, and
     # log A(U)^(1-beta) = log zeta^2(U) + log(beta^beta (1-beta)^(1-beta)).
     shift = log(lam / m) + beta * log(beta) + (1.0 - beta) * log(1.0 - beta)
-    kept, got = [], 0
-    while got < need:
-        k = int((need - got) * exp(lam / m) * 1.05) + 16
-        u = rng.random(k)
-        u *= pi
-        x = rng.standard_exponential(k)
-        # piece = exp((shift + log zeta^2(u) - (1-beta) log x) / beta), in place
-        with np.errstate(over="ignore"):
-            piece = _log_zeta2(u, beta)
-            piece += shift
-            np.log(x, out=x)
-            x *= 1.0 - beta
-            piece -= x
-            piece /= beta
-            np.exp(piece, out=piece)
-        piece = piece[rng.standard_exponential(k) > piece]
-        kept.append(piece)
-        got += piece.size
-    return np.concatenate(kept)[:need].reshape(n, m).sum(axis=1)
+    pieces, accepted = _kanter_round(rngs, _proposals(need, lam, m), beta, shift)
+    out = np.empty((len(rngs), n))
+    for rng, row, piece, ok in zip(rngs, out, pieces, accepted):
+        piece = piece[ok]
+        if piece.size < need:
+            kept, got = [piece], piece.size
+            while got < need:
+                more, ok = _kanter_round([rng], _proposals(need - got, lam, m), beta, shift)
+                kept.append(more[ok])
+                got += kept[-1].size
+            piece = np.concatenate(kept)
+        # the m pieces of each draw added in order, as sum(axis=1) adds m < 8
+        if m == 1:
+            row[:] = piece[:n]
+        else:
+            np.add(piece[0:need:m], piece[1:need:m], out=row)
+            for j in range(2, m):
+                row += piece[j:need:m]
+    return out
 
 
 class _Envelope:

@@ -393,6 +393,20 @@ def test_fit_grid_refuses_past_the_cap(c8_sample, monkeypatch):
         fit(data, init)
 
 
+def test_fit_reuses_the_stencil_fit_grid_chose(c8_sample, monkeypatch):
+    # with no grid given, the fit takes the plan, stencil and start density
+    # that fit_grid built on the grid it chose, and builds no stencil itself
+    data, init = c8_sample
+    real, built = estimation._stencil, []
+    monkeypatch.setattr(estimation, "_stencil",
+                        lambda data, g: built.append(g.n_points) or real(data, g))
+    fit_grid(data, init)
+    probes, built[:] = list(built), []
+    trace = fit(data, init, grad_tol=1e-3, max_iter=0)
+    assert built == probes == [4096, 8192, 16384]
+    assert trace.grid.n_points == 8192
+
+
 def test_log_likelihood_permutation_invariant(equity_sample):
     data, g = equity_sample
     shuffled = np.random.default_rng(15).permutation(data)
@@ -611,6 +625,7 @@ def test_fit_rejects_unusable_tolerances(compact_fit, monkeypatch, kwargs, cause
     # refused before any grid is planned
     data, _, _ = compact_fit
     monkeypatch.setattr(estimation, "fit_grid", None)
+    monkeypatch.setattr(estimation, "_fit_grid", None)
     with pytest.raises(ValueError, match=cause):
         fit(data, moment_matched_init(data), **kwargs)
 

@@ -2,15 +2,18 @@
 recursion, seeding discipline, and moment reporting."""
 
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest
 
-from gtsou import inversion, ou
+from gtsou import inversion, ou, tempered
 from gtsou import (
     EQUITY_PARAMS,
     PRESETS,
@@ -280,9 +283,9 @@ def test_one_worker_draws_on_the_calling_thread(rngs, monkeypatch):
     class Recording:
         params, config = base.params, base.config
 
-        def draw(self, rng, size):
-            callers.append(threading.current_thread())
-            return base.draw(rng, size)
+        def draw_group(self, rngs, size):
+            callers.extend([threading.current_thread()] * len(rngs))
+            return base.draw_group(rngs, size)
 
     started, start = [], threading.Thread.start
 
@@ -308,6 +311,125 @@ def test_repeated_generator_draws_in_list_order(monkeypatch):
     for path, values in zip(paths, expect, strict=True):
         assert np.array_equal(path.x, values)
     assert not np.array_equal(paths[0].x, paths[1].x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset=st.sampled_from(sorted(PRESETS)), mode=st.sampled_from(list(Marginal)),
+       side=st.sampled_from(["preset", "beta0", "double_rejection"]),
+       lam=st.sampled_from([0.1, 1.0, 2.5]), n_gen=st.integers(1, 6),
+       size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       short_rounds=st.booleans())
+def test_grouped_draws_equal_per_path_draws(preset, mode, side, lam, n_gen, size, seed,
+                                            short_rounds):
+    # each row of a group is its generator's own draw, bit for bit: with a
+    # beta = 0 side (gamma route), a side at Lam > 5 from lambda dt = 1 on
+    # (double rejection), sub-steps at lambda dt = 2.5, and first Kanter
+    # rounds cut short so that every row draws further rounds
+    p = PRESETS[preset]
+    if side == "beta0":
+        p = p.replace(beta_minus=0.0)
+    elif side == "double_rejection":
+        p = p.replace(alpha_plus=4.0 * p.alpha_plus)
+    s = build_increment_sampler(p, OuConfig(lambda_rate=lam, dt=1.0, mode=mode, x0=0.0))
+    seeds = np.random.SeedSequence(seed).spawn(n_gen)
+    with pytest.MonkeyPatch.context() as patch:
+        if short_rounds:
+            patch.setattr(tempered, "_proposals", lambda need, lam, m: need // 2 + 1)
+        group = s.draw_group([np.random.default_rng(q) for q in seeds], size)
+        alone = [s.draw(np.random.default_rng(q), size) for q in seeds]
+    assert group.shape == (n_gen, size)
+    for row, ref in zip(group, alone, strict=True):
+        assert np.array_equal(row, ref)
+
+
+class _GroupRecorder:
+    """A sampler that records the generators of each ``draw_group`` call."""
+
+    def __init__(self, base):
+        self.base, self.params, self.config = base, base.params, base.config
+        self.groups = []
+
+    def draw_group(self, rngs, size):
+        self.groups.append(list(rngs))
+        return self.base.draw_group(rngs, size)
+
+
+SHORT_CFG = OuConfig(lambda_rate=0.1, dt=1.0, mode=Marginal.SD, n_steps=4000, seed=8)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_shares_are_drawn_in_near_equal_groups(cores, monkeypatch):
+    # 11 paths at lambda dt = 0.1: each share is split into near-equal groups
+    # of at most _group_size generators (5 here), each generator in exactly
+    # one group, and every path is its serial one
+    monkeypatch.setattr(ou, "_usable_cpus", lambda: cores)
+    base = build_increment_sampler(EQUITY_PARAMS, SHORT_CFG)
+    n = ou._start_steps(SHORT_CFG) + SHORT_CFG.n_steps
+    assert ou._group_size(EQUITY_PARAMS, SHORT_CFG, n) == 5
+    rngs = [np.random.default_rng(k) for k in range(11)]
+    recorder = _GroupRecorder(base)
+    paths = simulate_paths(EQUITY_PARAMS, SHORT_CFG, rngs, recorder)
+    # one share of 11 in 3 groups; shares of 6 (2 groups) and 5 (1 group)
+    assert sorted(len(g) for g in recorder.groups) == ([3, 4, 4] if cores == 1 else [3, 3, 5])
+    assert sorted(id(r) for g in recorder.groups for r in g) == sorted(map(id, rngs))
+    expect = _scalar_recursion(base, SHORT_CFG, [np.random.default_rng(k) for k in range(11)])
+    for path, values in zip(paths, expect, strict=True):
+        assert np.array_equal(path.x, values)
+
+
+def test_repeated_generator_keeps_groups_of_one(monkeypatch):
+    # a generator listed twice among others: w = 1, one generator per call,
+    # and the paths are the list-order serial draws
+    monkeypatch.setattr(ou, "_usable_cpus", lambda: 2)
+    c = OuConfig(lambda_rate=0.1, dt=1.0, mode=Marginal.GTS, n_steps=300, seed=2)
+    base = build_increment_sampler(EQUITY_PARAMS, c)
+    r0, r1 = np.random.default_rng(5), np.random.default_rng(6)
+    recorder = _GroupRecorder(base)
+    paths = simulate_paths(EQUITY_PARAMS, c, [r0, r1, r0], recorder)
+    assert [len(g) for g in recorder.groups] == [1, 1, 1]
+    again = np.random.default_rng(5)
+    expect = _scalar_recursion(base, c, [again, np.random.default_rng(6), again])
+    for path, values in zip(paths, expect, strict=True):
+        assert np.array_equal(path.x, values)
+
+
+def _traced_peak(draw) -> int:
+    draw()  # first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        draw()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0])
+def test_group_draw_memory_is_bounded_by_one_long_path(lam):
+    # a group's buffers are budgeted by Kanter's proposal count: no preset
+    # group at lambda dt = 0.1 or 1 traces more than a lone draw of the
+    # largest path of the benchmark's ensembles (equity SD at lambda dt = 1)
+    # with U and X in a buffer each, as before grouping: today's lone draw
+    # plus one buffer of its k first-round proposals
+    def path_draw(p, mode, lam, rngs):
+        c = OuConfig(lambda_rate=lam, dt=1.0, mode=mode, n_steps=5000)
+        n = ou._start_steps(c) + c.n_steps
+        return lambda: build_increment_sampler(p, c).draw_group(rngs, n)
+
+    longest = OuConfig(lambda_rate=1.0, dt=1.0, mode=Marginal.SD, n_steps=5000)
+    n = ou._start_steps(longest) + longest.n_steps
+    k = max(tempered.kanter_proposals(n, beta, *ou._side_law(beta, alpha, lam_, 1.0,
+                                                             Marginal.SD)[:2])
+            for _, beta, alpha, lam_ in EQUITY_PARAMS.sides())
+    assert k > 2**15
+    bound = _traced_peak(path_draw(EQUITY_PARAMS, Marginal.SD, 1.0,
+                                   [np.random.default_rng(0)])) + 8 * k
+    for p in PRESETS.values():
+        for mode in Marginal:
+            c = OuConfig(lambda_rate=lam, dt=1.0, mode=mode, n_steps=5000)
+            n_gen = ou._group_size(p, c, ou._start_steps(c) + c.n_steps)
+            assert n_gen >= (4 if lam == 0.1 else 1)
+            rngs = [np.random.default_rng(j) for j in range(n_gen)]
+            assert _traced_peak(path_draw(p, mode, lam, rngs)) <= bound, (p, mode)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -337,8 +459,8 @@ def test_zero_increments_decay_geometrically(sampler):
             self.params = base.params
             self.config = base.config
 
-        def draw(self, rng, size):
-            return np.zeros(size)
+        def draw_group(self, rngs, size):
+            return np.zeros((len(rngs), size))
 
     cfg = OuConfig(lambda_rate=0.3, dt=1.0, mode=Marginal.SD, n_steps=50, seed=5,
                    x0=2.0)

@@ -1,5 +1,6 @@
 """Tempered stable variates: cumulants of both routes, the double-rejection
-envelope, and the choice of route."""
+envelope, the choice of route, and rows drawn for several generators at
+once."""
 
 import math
 
@@ -29,7 +30,7 @@ def _z_scores(w, beta, lam):
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("lam", (1e-3, 0.1, 1.0, LAMBDA0))
 def test_kanter_cumulants(beta, lam):
-    w = tempered._kanter(np.random.default_rng(7), N, beta, lam, math.ceil(lam))
+    w = tempered._kanter([np.random.default_rng(7)], N, beta, lam, math.ceil(lam))[0]
     zm, zv = _z_scores(w, beta, lam)
     assert abs(zm) <= 4.0 and abs(zv) <= 4.0, (zm, zv)
 
@@ -57,7 +58,7 @@ def test_route_by_lambda(monkeypatch):
     # double rejection above
     pieces, rejections = [], []
     monkeypatch.setattr(tempered, "_kanter",
-                        lambda rng, n, beta, lam, m: pieces.append(m) or np.zeros(n))
+                        lambda rngs, n, beta, lam, m: pieces.append(m) or np.zeros((len(rngs), n)))
     monkeypatch.setattr(tempered, "_double_rejection",
                         lambda rng, n, beta, lam: rejections.append(lam) or np.zeros(n))
     rng = np.random.default_rng(0)
@@ -138,7 +139,7 @@ def test_draws_match_the_sine_form(monkeypatch, beta, lam):
     def draw():
         rng = np.random.default_rng(2024)
         if lam <= LAMBDA0:
-            return tempered._kanter(rng, 5000, beta, lam, math.ceil(lam))
+            return tempered._kanter([rng], 5000, beta, lam, math.ceil(lam))[0]
         return tempered._double_rejection(rng, 5000, beta, lam)
 
     fast = draw()
@@ -147,3 +148,52 @@ def test_draws_match_the_sine_form(monkeypatch, beta, lam):
     assert fast.shape == ref.shape
     tol = 1e-14 if lam <= LAMBDA0 else 1e-13
     assert np.all(np.abs(fast - ref) <= tol * np.abs(ref))
+
+
+def _kanter_one_generator(rng, n, beta, lam, m):
+    """Kanter's rounds for one generator, as a loop of whole rounds whose
+    accepted pieces are concatenated and summed by reshape and sum(axis=1)"""
+    need = n * m
+    shift = math.log(lam / m) + beta * math.log(beta) + (1.0 - beta) * math.log(1.0 - beta)
+    kept, got = [], 0
+    while got < need:
+        k = int((need - got) * math.exp(lam / m) * 1.05) + 16
+        u = rng.random(k) * math.pi
+        x = rng.standard_exponential(k)
+        with np.errstate(over="ignore"):
+            piece = np.exp((tempered._log_zeta2(u, beta) + shift - np.log(x) * (1.0 - beta)) / beta)
+        kept.append(piece[rng.standard_exponential(k) > piece])
+        got += kept[-1].size
+    return np.concatenate(kept)[:need].reshape(n, m).sum(axis=1)
+
+
+@pytest.mark.parametrize("beta", [0.242579, 0.68229])
+@pytest.mark.parametrize("lam", [0.05, 1.0, 1.7, 2.4, 3.3, LAMBDA0])
+@pytest.mark.parametrize("n_gen", [1, 2, 5])
+def test_kanter_rows_equal_the_one_generator_loop(beta, lam, n_gen):
+    # m = 1 to 5 pieces per draw: the first round run once over the group,
+    # later rounds per generator, and the pieces added with strided adds give
+    # each row bit for bit
+    seeds = np.random.SeedSequence(11).spawn(n_gen)
+    m = math.ceil(lam)
+    rows = tempered._kanter([np.random.default_rng(s) for s in seeds], 3000, beta, lam, m)
+    assert rows.shape == (n_gen, 3000)
+    for row, s in zip(rows, seeds):
+        assert np.array_equal(row, _kanter_one_generator(np.random.default_rng(s), 3000,
+                                                         beta, lam, m))
+
+
+@pytest.mark.parametrize("beta, c", [(0.0, 0.7), (0.4, 0.05), (0.4, 0.5), (0.4, 1.5),
+                                     (0.4, 30.0)])
+@pytest.mark.parametrize("n_gen", [1, 3, 6])
+def test_rows_equal_each_generator_alone(beta, c, n_gen):
+    # gamma, Kanter (Lam = 0.21 and 2.1: one piece, then three) and double
+    # rejection (Lam = 6.2 and 124): row i is what generator i gives alone,
+    # and the generator ends where it would
+    seeds = np.random.SeedSequence(12).spawn(n_gen)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    rows = tempered.tempered_stable_rows(rngs, 500, beta, c, 1.3)
+    for row, rng, s in zip(rows, rngs, seeds):
+        alone = np.random.default_rng(s)
+        assert np.array_equal(row, tempered_stable(alone, 500, beta, c, 1.3))
+        assert rng.random() == alone.random()
