@@ -90,7 +90,7 @@ class _Stencil:
 
     def __init__(self, plan: InversionPlan, idx: np.ndarray, w: np.ndarray):
         self.plan, self.idx, self.w = plan, idx, w
-        self._by_obs = None
+        self._by_obs = self._rows = None
 
     def by_observation(self) -> tuple:
         """(nodes, weights), the same entries in observation order, built on
@@ -100,11 +100,25 @@ class _Stencil:
             self._by_obs = self.idx.T.ravel(), self.w.T.copy()
         return self._by_obs
 
-    def apply(self, row: np.ndarray) -> np.ndarray:
+    def derivative_rows(self) -> tuple:
+        """(spectrum, out): the buffers the score inverts its first-derivative
+        rows through, (7, n + 1) complex and (7, 2n) real, made on the first
+        call and reused by every later score on this stencil's plan."""
+        if self._rows is None:
+            n = self.plan.grid.n_points
+            self._rows = (np.empty((len(PARAM_NAMES), n + 1), dtype=complex),
+                          np.empty((len(PARAM_NAMES), 2 * n)))
+        return self._rows
+
+    def apply(self, row: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """S row: the interpolant of a grid row at each observation, as four
-        gathered multiply-adds."""
+        gathered multiply-adds summed left to right, into ``out`` if given."""
         i, w = self.idx, self.w
-        return row[i[0]] * w[0] + row[i[1]] * w[1] + row[i[2]] * w[2] + row[i[3]] * w[3]
+        out = np.multiply(row[i[0]], w[0], out=out)
+        out += row[i[1]] * w[1]
+        out += row[i[2]] * w[2]
+        out += row[i[3]] * w[3]
+        return out
 
     def transpose_over(self, f: np.ndarray) -> np.ndarray:
         """S^T (1/f): each weight divided by its observation's f and summed
@@ -173,15 +187,15 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
 
         d log f_i = (S dq)_i / f_i,
 
-    and the second derivative follows by the quotient rule.  Each of the 7
-    first-derivative spectra is inverted (``InversionPlan.raw``) for its
-    stencil values at the data.  The 28 second-derivative spectra enter only
-    through sum_i (S d2q)_i / f_i = (S^T (1/f)) . d2q, one fixed linear
-    functional of the unclipped row, so one ``InversionPlan.adjoint`` turns it
-    into one half spectrum and every Hessian entry into one dot product: 9
-    real FFTs per call in all (the density and the 7 first-derivative rows,
-    and the adjoint).  Observations whose density sits on the 1e-300 floor
-    contribute nothing.
+    and the second derivative follows by the quotient rule.  The 7
+    first-derivative spectra are inverted as one stack (``InversionPlan.raw``)
+    for their stencil values at the data.  The 28 second-derivative spectra
+    enter only through sum_i (S d2q)_i / f_i = (S^T (1/f)) . d2q, one fixed
+    linear functional of the unclipped row, so one ``InversionPlan.adjoint``
+    turns it into one half spectrum and every Hessian entry into one dot
+    product.  A call makes 3 real FFT calls in all: the density's irfft, one
+    irfft over the stack of 7 first-derivative rows, and the adjoint's rfft.
+    Observations whose density sits on the 1e-300 floor contribute nothing.
     """
     return _score_and_hessian(_density_at_data(_stencil(data, g), p), p)
 
@@ -190,13 +204,21 @@ def _score_and_hessian(density: tuple, p: GtsParams) -> tuple:
     """``score_and_hessian`` from the ``_density_at_data`` result at p."""
     s, cf, pdf, f = density
     plan = s.plan
+    buffers = s.derivative_rows()
     live = f > PDF_FLOOR
     if not live.all():
         s, f = _Stencil(plan, s.idx[:, live], s.w[:, live]), f[live]
     keep = pdf > 0.0
     first, second = psi_gts_derivatives(plan.xi_half, p)
 
-    du = np.array([s.apply(np.where(keep, plan.raw(d * cf), 0.0)) for d in first]) / f
+    rows = plan._raw_into(first * cf, *buffers)
+    np.copyto(rows, 0.0, where=~keep)
+    # row by row: a gather over the stack is slower, and comes out in
+    # Fortran order, which changes the bits of du's row sums
+    du = np.empty((len(rows), f.size))
+    for row, out in zip(rows, du):
+        s.apply(row, out)
+    du /= f
     grad = du.sum(axis=1)
 
     # sum_i (S d2q)_i / f_i for each pair j <= k is linear in the weights
@@ -393,9 +415,11 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     else:
         s = _stencil(data, g)
         density = _density_at_data(s, init)  # the start's errors propagate
-    # before the loop's temporaries: made inside the first score, these
-    # long-lived arrays sat above them and raised the fit's peak RSS 0.1 MB
+    # before the loop's temporaries: made inside the first score, the
+    # observation-order copies sat above them and raised the fit's peak RSS
+    # 0.1 MB; the score's row buffers are made with them
     s.by_observation()
+    s.derivative_rows()
     states: list[FitState] = []
     infeasible: Counter = Counter()
     z, p, radius, accepted = _coordinates(init), init, 1.0, True

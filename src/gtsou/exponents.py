@@ -18,7 +18,13 @@ from .special import digamma_trigamma
 # O(beta^3 L^4).  The beta = 0 limit alone would err O(beta).
 BETA_LOG_BRANCH = 1e-5
 
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# np.polynomial.legendre.leggauss(8), bit for bit, without loading numpy.polynomial
+_GL8_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                       -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                       0.7966664774136267, 0.9602898564975362])
+_GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                         0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                         0.22238103445337443, 0.10122853629037706])
 # Panels (sd_exponent) or frequencies (sd_step_exponent) per block: blocks
 # bound psi_gts's temporaries on long arrays, and give bitwise the same sums.
 _SD_BLOCK = 2**14

@@ -245,8 +245,9 @@ class InversionPlan:
     e^(-i k dxi x_min).  Node k adds to bin k mod N of the stored half
     spectrum, or conjugated to bin N - (k mod N) where k mod N > N/2; the fold
     is exact for any K, since the DFT sees only k mod N.  Built once per
-    GridSpec, so ``raw``, ``pdf`` and ``adjoint`` cost one real FFT each; it
-    keeps K-length arrays, which ``invert_cf`` does not hold.
+    GridSpec, so ``raw``, ``pdf`` and ``adjoint`` cost one real FFT call each;
+    it keeps K-length arrays, which ``invert_cf`` does not hold, and no
+    buffer between calls, so threads can share one plan.
     """
 
     def __init__(self, g: GridSpec):
@@ -268,11 +269,26 @@ class InversionPlan:
         """The unclipped trapezoid inversion on ``x`` of a Hermitian spectrum
         given on ``xi_half``: the fold and one irfft.  Linear over the reals,
         so a spectrum d/dtheta e^psi gives the theta-derivative of the
-        unclipped density."""
+        unclipped density.  A stack of r spectra, shape (r, K + 1), gives its
+        r rows, shape (r, n), each bit for bit its own one-row call: every
+        row is folded on its own, and all go through one irfft."""
+        cf_half = np.asarray(cf_half)
+        spectrum = np.empty(cf_half.shape[:-1] + (self.grid.n_points + 1,), dtype=complex)
+        return self._raw_into(cf_half, spectrum)
+
+    def _raw_into(self, cf_half, spectrum, out=None) -> np.ndarray:
+        """``raw`` through the caller's buffers: ``spectrum``, complex of
+        shape (..., n + 1), takes the folds and ``out``, real of shape
+        (..., 2n) or None for a new array, the irfft; the result is a view
+        of the irfft's first n columns."""
         n = self.grid.n_points
-        spectrum = np.zeros(n + 1, dtype=complex)
-        _fold(spectrum, self.bins, self.sign, self.to_x * cf_half)
-        return np.fft.irfft(spectrum, 2 * n)[:n]
+        # scaled row by row: one (r, K + 1) product per call made a fit's heap
+        # shrink and regrow, 8,500 page faults a C8 fit against 600
+        cf_rows = cf_half.reshape(-1, cf_half.shape[-1])
+        for row, cf_row in zip(spectrum.reshape(-1, n + 1), cf_rows):
+            row[:] = 0.0
+            _fold(row, self.bins, self.sign, self.to_x * cf_row)
+        return np.fft.irfft(spectrum, 2 * n, out=out)[..., :n]
 
     def adjoint(self, c) -> np.ndarray:
         """The transpose of ``raw`` for a real weight vector ``c`` on ``x``: the

@@ -218,18 +218,42 @@ def test_adjoint_hessian_matches_streamed_rows(sample, p, outlier, request):
     assert np.array_equal(hess, hess.T)
 
 
-def test_score_and_hessian_runs_nine_transforms(equity_sample, monkeypatch):
-    # the density and the 7 first-derivative rows (irfft), and one adjoint
-    # (rfft) for the whole Hessian
-    data, g = equity_sample
-    plan = InversionPlan(g)
+def _count_transforms(monkeypatch) -> list:
+    """The names of the np.fft calls made from here on, with the number of
+    rows each transforms."""
     calls = []
     for name in ("irfft", "rfft"):
         original = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *args, f=original, name=name, **kw:
-                            calls.append(name) or f(*args, **kw))
+        monkeypatch.setattr(np.fft, name, lambda a, *args, f=original, name=name, **kw:
+                            calls.append((name, np.shape(a)[0] if np.ndim(a) > 1 else 1))
+                            or f(a, *args, **kw))
+    return calls
+
+
+def test_score_and_hessian_runs_three_transforms(equity_sample, monkeypatch):
+    # the density (irfft), one irfft over the stack of 7 first-derivative
+    # rows, and one adjoint (rfft) for the whole Hessian
+    data, g = equity_sample
+    plan = InversionPlan(g)
+    calls = _count_transforms(monkeypatch)
     score_and_hessian(data, EQUITY_PARAMS, plan)
-    assert calls.count("irfft") == 8 and calls.count("rfft") == 1
+    assert calls == [("irfft", 1), ("irfft", 7), ("rfft", 1)]
+
+
+def test_c8_fit_transform_calls(c8_sample, monkeypatch):
+    # C8's whole fit: one irfft per evaluated point (fit_grid's 3 probes
+    # included), and one 7-row irfft and one rfft per accepted state; with
+    # the rows inverted one at a time the same fit made 157 irfft calls
+    data, init = c8_sample
+    calls = _count_transforms(monkeypatch)
+    points = []
+    real = estimation._density_at_data
+    monkeypatch.setattr(estimation, "_density_at_data",
+                        lambda stencil, p: points.append(p) or real(stencil, p))
+    trace = fit(data, init, grad_tol=1e-3)
+    assert calls.count(("irfft", 1)) == len(points) == 24
+    assert calls.count(("irfft", 7)) == calls.count(("rfft", 1)) == len(trace.states) == 19
+    assert len(calls) == 24 + 2 * 19
 
 
 def test_log_likelihood_plan_reuse_is_bit_identical():

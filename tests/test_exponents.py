@@ -198,6 +198,13 @@ def test_increment_exponent_sd_difference():
                                atol=1e-9)
 
 
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    # written out so that importing the package does not load numpy.polynomial
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert exponents._GL8_NODES.tobytes() == nodes.tobytes()
+    assert exponents._GL8_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_sd_exponent_blocks_match_one_block(monkeypatch):
     # more panels than one block: every value equals the one-block result
     xi = np.linspace(-40.0, 40.0, 2 * exponents._SD_BLOCK + 1000)

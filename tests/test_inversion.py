@@ -478,6 +478,33 @@ def test_blocked_fold_equals_the_plan_bit_for_bit(case, freq):
                           plan.raw(np.exp(exponent(plan.xi_half))))
 
 
+@st.composite
+def grids_and_stacks(draw):
+    """A grid whose top frequency index K runs from 0.05 n to 2.5 n, so that
+    the fold is absent, mirrors nodes past n or wraps them past 2n, and a
+    stack of r random half spectra on it."""
+    n = draw(st.sampled_from([256, 512]))
+    x_min = draw(st.floats(-30.0, 10.0))
+    width = draw(st.floats(0.5, 40.0))
+    ratio = draw(st.floats(0.05, 2.5))  # K / n
+    g = GridSpec(n, x_min, x_min + width, ratio * n * np.pi / width)
+    r = draw(st.sampled_from([1, 3, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (r, half_frequencies(g).size)
+    return g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@_PROPERTY
+@given(grids_and_stacks())
+def test_raw_of_a_stack_equals_its_rows_bit_for_bit(case):
+    g, stack = case
+    plan = InversionPlan(g)
+    rows = plan.raw(stack)
+    assert rows.shape == (stack.shape[0], g.n_points)
+    assert np.array_equal(rows, np.array([plan.raw(s) for s in stack]))
+    assert plan.raw(stack[0]).shape == (g.n_points,)
+
+
 def test_grid_spec_refuses_too_many_frequency_nodes():
     # K = ceil(xi_max / dxi) is checked at construction, before any array
     # exists: 2^21 nodes are accepted, one more is refused with K named

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import subprocess
 import sys
 
 import pytest
@@ -94,6 +95,19 @@ def test_scipy_is_imported_only_at_its_allowed_sites():
         ("special.upper_incomplete_gamma", "scipy.special"),
         ("special.lower_incomplete_gamma", "scipy.special"),
     }
+
+
+def test_package_modules_load_no_numpy_polynomial():
+    # the Gauss-Legendre rule is written out: no route imports numpy.polynomial
+    src = os.path.join(ROOT, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gtsou.cli, gtsou.estimation, gtsou.ou; "
+                               "print(sorted(m for m in sys.modules "
+                               "if m.startswith('numpy.polynomial')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _load_benchmark_module(name):
