@@ -1,6 +1,7 @@
 """Maximum-likelihood fitting of the seven GTS parameters by trust-region
-Newton (a Moré–Sorensen step in numpy) over an FFT-evaluated likelihood, with
-the score and Hessian inverted from differentiated characteristic functions."""
+Newton (a Moré–Sorensen step in numpy) over an FFT-evaluated likelihood,
+spread to the data by a non-uniform FFT, with the score and Hessian inverted
+from differentiated characteristic functions."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from math import gamma
 import numpy as np
 
 from .cumulants import cumulants
-from .exponents import psi_gts, psi_gts_derivatives
-from .inversion import GridSpec, InversionPlan, NormalizationError, default_xi_max
+from .exponents import _GL8_NODES, _GL8_WEIGHTS, psi_gts, psi_gts_derivatives
+from .inversion import (GridSpec, InversionPlan, NormalizationError, _check_mass,
+                        default_xi_max)
 from .params import PARAM_NAMES, GtsParams
 
 PDF_FLOOR = 1e-300  # keeps log f finite when a tail point underflows the grid
@@ -53,7 +55,7 @@ class FitTrace:
     reason: str  # GradientTol | MaxIter | NoProgress | SingularHessian
     # proposals turned into +inf, by the name of the exception that refused them
     infeasible: dict = field(default_factory=dict)
-    grid: GridSpec | None = None  # the planned grid, after any range expansion
+    grid: GridSpec | None = None  # the planned grid, after any expansion or refinement
 
     @property
     def final(self) -> FitState:
@@ -71,102 +73,139 @@ def _check_data(data) -> np.ndarray:
     return data
 
 
+# the spreading kernel's width in grid nodes, and the least oversampling
+# sigma = pi / (dx xi_max) of a fit's grid: at sigma = 1.5 the kernel errs by
+# about e^(-pi w sqrt(1 - 1/sigma)), 3e-10 of the density's scale
+_WIDTH = 12
+_OVERSAMPLING = 1.5
+
+
+def _refined(grid: GridSpec) -> GridSpec:
+    """``grid`` with its point count doubled until the oversampling
+    pi / (dx xi_max) reaches 1.5; ``grid`` itself if it does already."""
+    n = grid.n_points
+    while np.pi * (n - 1) / grid.xi_max < _OVERSAMPLING * (grid.x_max - grid.x_min):
+        n *= 2
+    return grid if n == grid.n_points else GridSpec(n, grid.x_min, grid.x_max, grid.xi_max)
+
+
 def _plan_for(data: np.ndarray, g: GridSpec | InversionPlan) -> InversionPlan:
     """The inversion plan of ``g``; a new one with the x-range expanded by
-    10% padding when the data exceed it."""
+    10% padding when the data exceed it, and with the points doubled while
+    the oversampling is below 1.5 (``_refined``)."""
     grid = g.grid if isinstance(g, InversionPlan) else g
     lo, hi = float(data.min()), float(data.max())
     if lo < grid.x_min or hi > grid.x_max:
         pad = 0.1 * (grid.x_max - grid.x_min)
-        return InversionPlan(grid.with_range(min(lo - pad, grid.x_min),
-                                             max(hi + pad, grid.x_max)))
-    return g if isinstance(g, InversionPlan) else InversionPlan(grid)
+        grid = grid.with_range(min(lo - pad, grid.x_min), max(hi + pad, grid.x_max))
+    grid = _refined(grid)
+    return g if isinstance(g, InversionPlan) and g.grid == grid else InversionPlan(grid)
 
 
 class _Stencil:
-    """The cubic Lagrange interpolation operator S from a grid row to the
-    data, as contiguous (4, m) columns: ``idx[k]`` is the k-th grid node
-    around each observation and ``w[k]`` its weight."""
+    """The spreading operator S from the whole 2n-node period of the plan's
+    irfft to the data, as C-contiguous (w, m) arrays: observation i reads
+    the w nodes ``idx[:, i]``, taken mod 2n, with the weights ``w[:, i]``.
+    ``deconv`` scales a spectrum on ``xi_half`` so that S of its inversion is
+    the trapezoid sum at the data, and Re(window . cf) is the sum's
+    integral over [x_min, x_max].  ``rows`` are the buffers, (7, n + 1) complex
+    and (7, 2n) real, that every score on this stencil inverts its
+    first-derivative rows through, and ``terms`` a (w, m) one that each
+    kernel sum gathers into: made once, so no call faults in fresh pages."""
 
-    def __init__(self, plan: InversionPlan, idx: np.ndarray, w: np.ndarray):
-        self.plan, self.idx, self.w = plan, idx, w
-        self._by_obs = self._rows = None
-
-    def by_observation(self) -> tuple:
-        """(nodes, weights), the same entries in observation order, built on
-        the first call (``fit_grid``'s probes never make one): S^T's bincount
-        sums each node's terms in this order, which fixes the Hessian's bits."""
-        if self._by_obs is None:
-            self._by_obs = self.idx.T.ravel(), self.w.T.copy()
-        return self._by_obs
-
-    def derivative_rows(self) -> tuple:
-        """(spectrum, out): the buffers the score inverts its first-derivative
-        rows through, (7, n + 1) complex and (7, 2n) real, made on the first
-        call and reused by every later score on this stencil's plan."""
-        if self._rows is None:
-            n = self.plan.grid.n_points
-            self._rows = (np.empty((len(PARAM_NAMES), n + 1), dtype=complex),
-                          np.empty((len(PARAM_NAMES), 2 * n)))
-        return self._rows
+    def __init__(self, plan: InversionPlan, idx: np.ndarray, w: np.ndarray,
+                 deconv: np.ndarray, window: np.ndarray):
+        self.plan, self.idx, self.w, self.deconv, self.window = plan, idx, w, deconv, window
+        n = plan.grid.n_points
+        self.rows = (np.empty((len(PARAM_NAMES), n + 1), dtype=complex),
+                     np.empty((len(PARAM_NAMES), 2 * n)))
+        self.terms = np.empty(w.shape)
 
     def apply(self, row: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """S row: the interpolant of a grid row at each observation, as four
-        gathered multiply-adds summed left to right, into ``out`` if given."""
-        i, w = self.idx, self.w
-        out = np.multiply(row[i[0]], w[0], out=out)
-        out += row[i[1]] * w[1]
-        out += row[i[2]] * w[2]
-        out += row[i[3]] * w[3]
-        return out
+        """S row for a whole-period row, into ``out`` if given: the nodes
+        gathered into ``terms``, each observation's w values dotted with its
+        weights.  ``take`` in clip mode fills ``terms`` without a buffered
+        copy; every index is in range."""
+        np.take(row, self.idx, out=self.terms, mode="clip")
+        return np.einsum("ki,ki->i", self.terms, self.w, out=out)
 
     def transpose_over(self, f: np.ndarray) -> np.ndarray:
-        """S^T (1/f): each weight divided by its observation's f and summed
-        onto the grid node it reads, observation by observation."""
-        idx, w = self.by_observation()
-        return np.bincount(idx, (w / f[:, None]).ravel(), minlength=self.plan.x.size)
+        """S^T (1/f) on the 2n nodes: each weight divided by its observation's
+        f and summed onto the node it reads, kernel node by kernel node."""
+        np.divide(self.w, f, out=self.terms)
+        return np.bincount(self.idx.ravel(), self.terms.ravel(),
+                           minlength=2 * self.plan.grid.n_points)
 
 
 def _stencil(data, g: GridSpec | InversionPlan) -> _Stencil:
     """The ``_Stencil`` of the data on g's plan (``_plan_for``, so every
-    observation lies inside the grid): the cubic Lagrange interpolant through
-    the four grid nodes around each observation (the stencil slides inward
-    at the grid ends).  The interpolant is linear in the grid values, so
-    interpolating the derivative rows gives the exact derivative of the
-    interpolated likelihood (a monotone PCHIP is not, and with its analytic
-    gradient the Newton fit stalled short of C8's tolerance)."""
+    observation lies inside the grid and the oversampling sigma is at least
+    1.5): a type-2 non-uniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
+    1993).  Observation x reads the w = 12 nodes y_j with |x - y_j| <= h =
+    w dx / 2, weighted by the exponential-of-semicircle kernel
+    phi(z) = e^(beta (sqrt(1 - z^2) - 1)), z = (x - y_j) / h, beta =
+    0.97 pi (1 - 1/(2 sigma)) w (Barnett, Magland & af Klinteberg, SIAM J.
+    Sci. Comput. 2019).  The spectrum is first scaled by dx / phi_hat(xi_k),
+    phi_hat(xi) = int phi((x - y)/h) e^(i xi x) dx = 2h int_0^1 phi(z)
+    cos(xi h z) dz by 4 panels of 8-point Gauss-Legendre.  S is linear in
+    the grid values, so S of the derivative rows gives the exact derivative
+    of the computed likelihood."""
     data = _check_data(data)
     plan = _plan_for(data, g)
-    t = (data - plan.grid.x_min) / plan.dx
-    start = np.clip(np.floor(t).astype(int) - 1, 0, plan.x.size - 4)
-    t = t - (start + 1)
-    w = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
-                  (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-                  -(t + 1.0) * t * (t - 2.0) / 2.0,
-                  (t + 1.0) * t * (t - 1.0) / 6.0])
-    return _Stencil(plan, start + np.arange(4)[:, None], w)
+    grid, dx, h = plan.grid, plan.dx, _WIDTH // 2
+    beta = 0.97 * np.pi * (1.0 - 0.5 * dx * grid.xi_max / np.pi) * _WIDTH
+    t = (data - grid.x_min) / dx
+    first = np.ceil(t - h)  # the first node each observation reads, from -h on
+    z = (t - first - np.arange(_WIDTH)[:, None]) / h
+    w = np.exp(beta * (np.sqrt(1.0 - z * z) - 1.0))
+    # one quadrature node at a time, so no (K, 32) temporary is made
+    u = ((np.arange(4)[:, None] + 0.5 + 0.5 * _GL8_NODES) / 4.0).ravel()
+    phi = np.exp(beta * (np.sqrt(1.0 - u * u) - 1.0)) * np.tile(_GL8_WEIGHTS, 4) / 8.0
+    phi_hat = np.zeros(plan.xi_half.size)
+    for node, weight in zip(h * dx * u, phi):
+        phi_hat += weight * np.cos(node * plan.xi_half)
+    # the sum's integral over the window is that of its terms, to_xi (the
+    # adjoint's weights) times int_0^L e^(-i xi_k u) du, L = (n - 1) dx,
+    # whose phase xi_k L = pi k (n - 1) / n is reduced in integers
+    n, k = grid.n_points, np.arange(plan.xi_half.size)
+    edge = 1.0 - np.exp(-1j * np.pi * (k * (n - 1) % (2 * n)) / n)
+    window = plan.to_xi * np.where(k > 0, edge / (1j * np.where(k > 0, plan.xi_half, 1.0)),
+                                   grid.x_max - grid.x_min)
+    idx = (first.astype(np.intp) + np.arange(_WIDTH)[:, None]) % (2 * n)
+    # dx / phi_hat: phi_hat above still lacks its factor 2 h dx = w dx
+    return _Stencil(plan, idx, w, 1.0 / (_WIDTH * phi_hat), window)
 
 
 def _density_at_data(s: _Stencil, p: GtsParams) -> tuple:
-    """(stencil, cf on the half grid, pdf, f at the data), with pdf
-    ``InversionPlan.pdf``'s clipped density: mass-checked, not renormalized."""
+    """(stencil, spectrum, f at the data): the spectrum is cf on the half
+    grid scaled by ``deconv``, and f the unclipped trapezoid sum at each
+    observation.  NormalizationError (``_check_mass``) unless the sum's
+    integral over the window lies within 1e-3 of 1; it is not divided out."""
     if p.alpha_plus + p.alpha_minus <= 0.0:
         raise ValueError("degenerate parameters: both jump intensities are zero")
-    cf = np.exp(psi_gts(s.plan.xi_half, p))
-    pdf = s.plan.pdf(cf)[0]
-    return s, cf, pdf, s.apply(pdf)
+    plan = s.plan
+    cf = np.exp(psi_gts(plan.xi_half, p))
+    _check_mass(float(np.real(s.window @ cf)), plan.grid)
+    spectrum = cf * s.deconv
+    row = plan._raw_into(spectrum, np.empty(plan.grid.n_points + 1, dtype=complex))
+    return s, spectrum, s.apply(row)
 
 
 def log_likelihood(data, p: GtsParams, g: GridSpec | InversionPlan) -> float:
     """l(data; p) = sum_j log f(data_j) with f from one CF inversion on g.
 
-    ``g`` is a GridSpec, or an InversionPlan built from one: ``fit`` plans
-    its grid and builds its interpolation stencil once, so each of its
-    evaluations costs one exponent evaluation and one real FFT.  The clipped,
-    unnormalized pdf (its mass checked) is interpolated at each observation
-    by the four-point cubic Lagrange stencil and floored at 1e-300 before the
-    log.  If the data exceed the grid's x-range the range is expanded for
-    this evaluation.
+    f is the trapezoid sum of ``InversionPlan`` evaluated at each
+    observation, not interpolated from the grid: the spectrum is scaled by
+    the spreading kernel's deconvolution, inverted over the whole 2n-node
+    period by one real FFT, and spread to the data by the 12-node kernel
+    (``_stencil``), to about 3e-10 of the density's scale.  The sum is not
+    clipped; it is floored at 1e-300 before the log, and its integral over
+    the window must lie within 1e-3 of 1 but is not divided out.  ``g`` is a
+    GridSpec, or an InversionPlan built from one: ``fit`` plans its grid and
+    builds its stencil once, so each of its evaluations costs one exponent
+    evaluation and one real FFT.  If the data exceed the grid's x-range the
+    range is expanded, and if its oversampling pi / (dx xi_max) is below 1.5
+    the points are doubled until it is not, for this evaluation.
     """
     return _log_likelihood(_density_at_data(_stencil(data, g), p))
 
@@ -182,37 +221,36 @@ def score_and_hessian(data, p: GtsParams, g: GridSpec | InversionPlan) -> tuple:
 
     d/dtheta_j e^psi = psi_j e^psi and d2/dtheta_j dtheta_k e^psi =
     (psi_jk + psi_j psi_k) e^psi (``psi_gts_derivatives``).  With q the
-    clipped, unnormalized density (its mask is fixed by the undifferentiated
-    row) and f = S q,
+    whole-period inversion of the deconvolved spectrum and f = S q (S the
+    spreading kernel, linear in q, so l's derivatives are exact),
 
         d log f_i = (S dq)_i / f_i,
 
     and the second derivative follows by the quotient rule.  The 7
-    first-derivative spectra are inverted as one stack (``InversionPlan.raw``)
-    for their stencil values at the data.  The 28 second-derivative spectra
-    enter only through sum_i (S d2q)_i / f_i = (S^T (1/f)) . d2q, one fixed
-    linear functional of the unclipped row, so one ``InversionPlan.adjoint``
-    turns it into one half spectrum and every Hessian entry into one dot
-    product.  A call makes 3 real FFT calls in all: the density's irfft, one
-    irfft over the stack of 7 first-derivative rows, and the adjoint's rfft.
-    Observations whose density sits on the 1e-300 floor contribute nothing.
+    first-derivative spectra are inverted as one stack
+    (``InversionPlan._raw_into``) for their kernel sums at the data.  The 28
+    second-derivative spectra enter only through sum_i (S d2q)_i / f_i =
+    (S^T (1/f)) . d2q, one fixed linear functional of the row, so one
+    ``InversionPlan.adjoint`` of the 2n-node vector S^T (1/f) turns it into
+    one half spectrum and every Hessian entry into one dot product.  A call
+    makes 3 real FFT calls in all: the density's irfft, one irfft over the
+    stack of 7 first-derivative rows, and the adjoint's rfft.  Observations
+    whose density sits on the 1e-300 floor contribute nothing.
     """
     return _score_and_hessian(_density_at_data(_stencil(data, g), p), p)
 
 
 def _score_and_hessian(density: tuple, p: GtsParams) -> tuple:
     """``score_and_hessian`` from the ``_density_at_data`` result at p."""
-    s, cf, pdf, f = density
+    s, spectrum, f = density
     plan = s.plan
-    buffers = s.derivative_rows()
+    first, second = psi_gts_derivatives(plan.xi_half, p)
+    rows = plan._raw_into(first * spectrum, *s.rows)
     live = f > PDF_FLOOR
     if not live.all():
-        s, f = _Stencil(plan, s.idx[:, live], s.w[:, live]), f[live]
-    keep = pdf > 0.0
-    first, second = psi_gts_derivatives(plan.xi_half, p)
-
-    rows = plan._raw_into(first * cf, *buffers)
-    np.copyto(rows, 0.0, where=~keep)
+        # compress keeps the columns C-contiguous, as [:, live] would not
+        idx, w = (np.compress(live, a, axis=1) for a in (s.idx, s.w))
+        s, f = _Stencil(plan, idx, w, s.deconv, s.window), f[live]
     # row by row: a gather over the stack is slower, and comes out in
     # Fortran order, which changes the bits of du's row sums
     du = np.empty((len(rows), f.size))
@@ -222,9 +260,9 @@ def _score_and_hessian(density: tuple, p: GtsParams) -> tuple:
     grad = du.sum(axis=1)
 
     # sum_i (S d2q)_i / f_i for each pair j <= k is linear in the weights
-    # S^T (1/f) on the clipped second-derivative row d2q, so one adjoint of
-    # them gives them all
-    a = plan.adjoint(np.where(keep, s.transpose_over(f), 0.0)) * cf
+    # S^T (1/f) on the second-derivative row d2q, so one adjoint of them
+    # gives them all
+    a = plan.adjoint(s.transpose_over(f)) * spectrum
     d2 = np.real((first * a) @ first.T)
     for (j, k), s2 in second.items():  # j <= k
         d2[j, k] += np.real(a @ s2)
@@ -274,69 +312,26 @@ def moment_matched_init(data) -> GtsParams:
     return GtsParams(mu, beta, beta, a_plus, a_minus, lam, lam)
 
 
-# fit_grid's budget on the stencil's log-likelihood error, and its largest grid
-_STENCIL_LL_TOL = 1e-5
-_FIT_GRID_CAP = 2**22
-
-
 def fit_grid(data, init: GtsParams, n_points: int | None = None) -> GridSpec:
     """One frozen grid reused by every likelihood evaluation of a fit: the
     x-range covers both the initial law's mean +- 15 sd and the data with
     margin; the frequency cutoff gets a 1.5x safety factor so the grid stays
     valid as the parameters move.
 
-    A given ``n_points`` is used as is.  Otherwise the count starts at the
-    first power of two from 256 whose Nyquist frequency pi/dx reaches 1.5x
-    the cutoff (on C8's sample no coarser grid meets the budget) and
-    doubles until ``_stencil_ll_error`` against twice the points, a
-    Richardson estimate of the log-likelihood error the cubic stencil adds,
-    is at most ``_STENCIL_LL_TOL`` = 1e-5, measured at ``init`` only;
-    NormalizationError if that needs more than 2^22 points."""
-    return _fit_grid(data, init, n_points)[0]
-
-
-def _fit_grid(data, init: GtsParams, n_points: int | None = None) -> tuple:
-    """(grid, stencil, start): ``fit_grid``'s grid and, when it chose the
-    point count, the ``_Stencil`` (with its plan) and ``_density_at_data`` of
-    init that it built on that grid, for a fit to reuse; None and None for a
-    given ``n_points``."""
+    A given ``n_points`` is kept as given; the fit's plan doubles a count
+    whose oversampling pi / (dx xi_max) is below 1.5.  Otherwise the count
+    is the first power of two from 256 whose Nyquist frequency pi/dx reaches
+    1.5x the cutoff, where the likelihood's spreading kernel errs by about
+    3e-10 of the density's scale (C8: 4096 points)."""
     data = _check_data(data)
     k = cumulants(init, 2)
     sd = float(np.sqrt(k[2]))
     lo = min(k[1] - 15.0 * sd, float(data.min()) - 2.0 * sd)
     hi = max(k[1] + 15.0 * sd, float(data.max()) + 2.0 * sd)
     xi_max = 1.5 * default_xi_max(lambda xi: psi_gts(xi, init))
-
-    def grid(n: int) -> GridSpec:
-        return GridSpec(n_points=n, x_min=lo, x_max=hi, xi_max=xi_max)
-
-    def start_on(n: int) -> tuple:
-        s = _stencil(data, grid(n))
-        return s, _density_at_data(s, init)
-
-    if n_points is not None:
-        return grid(n_points), None, None
-    n = 256
-    while np.pi * (n - 1) / xi_max < 1.5 * (hi - lo):
-        n *= 2
-    s, start = start_on(n)
-    while 2 * n <= _FIT_GRID_CAP:
-        finer = start_on(2 * n)
-        if _stencil_ll_error(start[-1], finer[1][-1]) <= _STENCIL_LL_TOL:
-            return grid(n), s, start
-        n, (s, start) = 2 * n, finer
-    raise NormalizationError(
-        f"the stencil's log-likelihood error at {n} points is above "
-        f"{_STENCIL_LL_TOL:g}, and a finer check would need more than {_FIT_GRID_CAP} points")
-
-
-def _stencil_ll_error(f_n: np.ndarray, f_2n: np.ndarray) -> float:
-    """sum |f_n - f_2n| / f_2n over the data not on the 1e-300 floor, from the
-    stencil densities on a grid and on twice its points.  The stencil errs by
-    O(dx^4), so f_n - f_2n is 15/16 of f_n's error and the sum about
-    sum |log f_n - log f|, which bounds the log-likelihood error."""
-    live = (f_n > PDF_FLOOR) & (f_2n > PDF_FLOOR)
-    return float(np.sum(np.abs(f_n[live] - f_2n[live]) / f_2n[live]))
+    grid = GridSpec(n_points=256 if n_points is None else n_points, x_min=lo, x_max=hi,
+                    xi_max=xi_max)
+    return grid if n_points is not None else _refined(grid)
 
 
 def _coordinates(p: GtsParams) -> np.ndarray:
@@ -399,10 +394,10 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
     Stop reasons: GradientTol (gradient_norm <= grad_tol and max_eigenvalue
     <= 0), MaxIter (``max_iter`` accepted steps), NoProgress (no predicted
     rise, or a step that no longer moves z) and SingularHessian (``eigh``
-    failed).  The grid, ``fit_grid``'s unless ``g`` is given and expanded to
-    cover the data, is planned and its interpolation stencil built once (a
-    chosen grid's plan, stencil and start density are ``fit_grid``'s own),
-    and it is reported as ``FitTrace.grid``.
+    failed).  The grid, ``fit_grid``'s unless ``g`` is given, is planned,
+    expanded to cover the data and refined to an oversampling of at least
+    1.5, and its spreading stencil built once; the planned grid is reported
+    as ``FitTrace.grid``.
     ValueError before any planning unless ``grad_tol`` is finite and >= 0 and
     ``max_iter`` an integer >= 0.
     """
@@ -410,16 +405,8 @@ def fit(data, init: GtsParams, grad_tol: float = 1e-4, max_iter: int = 200,
         raise ValueError(f"grad_tol must be finite and >= 0, got {grad_tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    if g is None:
-        _, s, density = _fit_grid(data, init)
-    else:
-        s = _stencil(data, g)
-        density = _density_at_data(s, init)  # the start's errors propagate
-    # before the loop's temporaries: made inside the first score, the
-    # observation-order copies sat above them and raised the fit's peak RSS
-    # 0.1 MB; the score's row buffers are made with them
-    s.by_observation()
-    s.derivative_rows()
+    s = _stencil(data, fit_grid(data, init) if g is None else g)
+    density = _density_at_data(s, init)  # the start's errors propagate
     states: list[FitState] = []
     infeasible: Counter = Counter()
     z, p, radius, accepted = _coordinates(init), init, 1.0, True

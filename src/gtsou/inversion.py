@@ -220,18 +220,23 @@ def _fold(spectrum, bins, sign, t) -> None:
     spectrum.imag += np.bincount(bins, -sign * t.imag, size)
 
 
-def _clipped(pdf, x, g: GridSpec) -> tuple:
-    """(``pdf`` clipped nonnegative, its trapezoid mass on ``x``).  Raises
-    NormalizationError when the mass deviates from 1 by more than 1e-3 or is
-    not finite."""
-    pdf = np.where(pdf < 0.0, 0.0, pdf)  # trapezoid ringing is tiny by contract
-    mass = float(np.trapezoid(pdf, x))
+def _check_mass(mass: float, g: GridSpec) -> None:
+    """Raises NormalizationError, naming the grid, when the density mass
+    deviates from 1 by more than 1e-3 or is not finite."""
     if not abs(mass - 1.0) <= 1e-3:
         cause = (f"density mass {mass:.6f} deviates from 1 by more than 1e-3"
                  if np.isfinite(mass) else f"density mass is not finite ({mass})")
         raise NormalizationError(
             f"{cause} ({g.n_points} points, xi_max={g.xi_max:g}, "
             f"x-range [{g.x_min:g}, {g.x_max:g}])")
+
+
+def _clipped(pdf, x, g: GridSpec) -> tuple:
+    """(``pdf`` clipped nonnegative, its trapezoid mass on ``x``), the mass
+    checked by ``_check_mass``."""
+    pdf = np.where(pdf < 0.0, 0.0, pdf)  # trapezoid ringing is tiny by contract
+    mass = float(np.trapezoid(pdf, x))
+    _check_mass(mass, g)
     return pdf, mass
 
 
@@ -274,13 +279,14 @@ class InversionPlan:
         row is folded on its own, and all go through one irfft."""
         cf_half = np.asarray(cf_half)
         spectrum = np.empty(cf_half.shape[:-1] + (self.grid.n_points + 1,), dtype=complex)
-        return self._raw_into(cf_half, spectrum)
+        return self._raw_into(cf_half, spectrum)[..., :self.grid.n_points]
 
     def _raw_into(self, cf_half, spectrum, out=None) -> np.ndarray:
-        """``raw`` through the caller's buffers: ``spectrum``, complex of
-        shape (..., n + 1), takes the folds and ``out``, real of shape
-        (..., 2n) or None for a new array, the irfft; the result is a view
-        of the irfft's first n columns."""
+        """``raw`` over the whole period of 2n nodes x_min + j dx, j < 2n,
+        through the caller's buffers: ``spectrum``, complex of shape
+        (..., n + 1), takes the folds and ``out``, real of shape (..., 2n)
+        or None for a new array, the irfft.  Nodes j >= n lie past x_max and
+        stand, one period down, for the nodes below x_min."""
         n = self.grid.n_points
         # scaled row by row: one (r, K + 1) product per call made a fit's heap
         # shrink and regrow, 8,500 page faults a C8 fit against 600
@@ -288,13 +294,14 @@ class InversionPlan:
         for row, cf_row in zip(spectrum.reshape(-1, n + 1), cf_rows):
             row[:] = 0.0
             _fold(row, self.bins, self.sign, self.to_x * cf_row)
-        return np.fft.irfft(spectrum, 2 * n, out=out)[..., :n]
+        return np.fft.irfft(spectrum, 2 * n, out=out)
 
     def adjoint(self, c) -> np.ndarray:
-        """The transpose of ``raw`` for a real weight vector ``c`` on ``x``: the
+        """The transpose of ``raw`` for a real weight vector ``c`` on ``x``,
+        or of the whole-period ``_raw_into`` for one on its 2n nodes: the
         half spectrum a with ``c @ raw(s) == Re(a @ s)`` for every spectrum s
-        on ``xi_half``.  One rfft of the zero-padded ``c``, read back at each
-        node's bin."""
+        on ``xi_half``.  One rfft of ``c``, zero-padded to 2n, read back at
+        each node's bin."""
         r = np.fft.rfft(c, 2 * self.grid.n_points)
         return self.to_xi * (r.real[self.bins] + 1j * self.sign * r.imag[self.bins])
 

@@ -21,6 +21,7 @@ from gtsou import (
 from gtsou import estimation
 from gtsou.estimation import TRACE_COLUMNS
 from gtsou.inversion import GridSpec, InversionPlan, NormalizationError
+from trapezoid_sum import direct_sum
 
 
 # --- max_eigenvalue ---------------------------------------------------------
@@ -118,91 +119,57 @@ def test_score_and_hessian_match_central_differences(sample, p, request):
     assert np.array_equal(hess, hess.T)
 
 
-# --- the per-call stencil route, kept as the reference ---------------------
+# --- the likelihood against the direct trapezoid sum ------------------------
 
-def per_call_stencil(plan, data):
-    """Indices and weights, each (len(data), 4), of the cubic Lagrange
-    stencil, rebuilt on every evaluation: the route the fit's one
-    ``_Stencil`` replaced."""
-    t = (data - plan.grid.x_min) / plan.dx
-    start = np.clip(np.floor(t).astype(int) - 1, 0, plan.x.size - 4)
-    t = t - (start + 1)
-    w = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
-                  (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-                  -(t + 1.0) * t * (t - 2.0) / 2.0,
-                  (t + 1.0) * t * (t - 1.0) / 6.0], axis=1)
-    return start[:, None] + np.arange(4), w
+def oversampling(g) -> float:
+    """sigma = pi / (dx xi_max) of a grid."""
+    return np.pi * (g.n_points - 1) / (g.xi_max * (g.x_max - g.x_min))
 
 
-def per_call_density(data, p, g):
-    """(plan, cf, pdf, (idx, w), f at the data), each row reduced by
-    ``np.sum(row[idx] * w, axis=1)``."""
+def direct_density(data, p, plan):
+    """f at the data by the trapezoid sum on ``plan``'s grid, term by term."""
     from gtsou.exponents import psi_gts
 
-    plan = estimation._plan_for(data, g)
-    cf = np.exp(psi_gts(plan.xi_half, p))
-    pdf = plan.pdf(cf)[0]
-    idx, w = per_call_stencil(plan, data)
-    return plan, cf, pdf, (idx, w), np.sum(pdf[idx] * w, axis=1)
-
-
-def per_call_score_and_hessian(density, p):
-    """The score and Hessian from a ``per_call_density`` result, with the
-    floored observations always gathered out."""
-    from gtsou.estimation import PDF_FLOOR
-    from gtsou.exponents import psi_gts_derivatives
-
-    plan, cf, pdf, (idx, w), f = density
-    live = f > PDF_FLOOR
-    idx, w, f = idx[live], w[live], f[live]
-    keep = pdf > 0.0
-    first, second = psi_gts_derivatives(plan.xi_half, p)
-    du = np.array([np.sum(np.where(keep, plan.raw(d * cf), 0.0)[idx] * w, axis=1)
-                   for d in first]) / f
-    c = np.bincount(idx.ravel(), (w / f[:, None]).ravel(), minlength=plan.x.size)
-    a = plan.adjoint(np.where(keep, c, 0.0)) * cf
-    d2 = np.real((first * a) @ first.T)
-    for (j, k), s in second.items():
-        d2[j, k] += np.real(a @ s)
-    hess = d2 - du @ du.T
-    return du.sum(axis=1), np.triu(hess) + np.triu(hess, 1).T
+    t = (data - plan.grid.x_min) / plan.dx
+    return direct_sum(plan.grid, np.exp(psi_gts(plan.xi_half, p)), t)
 
 
 def streamed_score_and_hessian(data, p, g):
     """Reference score and Hessian that inverts every one of the 7 + 28
-    differentiated spectra through ``InversionPlan.raw``, one at a time."""
+    differentiated spectra on its own, over the whole period
+    (``InversionPlan._raw_into``), and spreads each row to the data."""
     from gtsou.estimation import PDF_FLOOR
     from gtsou.exponents import psi_gts_derivatives
 
-    plan, cf, pdf, (idx, w), f = per_call_density(data, p, g)
+    s, spectrum, f = estimation._density_at_data(estimation._stencil(data, g), p)
     live = f > PDF_FLOOR
-    idx, w, f = idx[live], w[live], f[live]
-    keep = pdf > 0.0
+    idx, w = (np.compress(live, a, axis=1) for a in (s.idx, s.w))
+    s, f = estimation._Stencil(s.plan, idx, w, s.deconv, s.window), f[live]
+    plan = s.plan
     first, second = psi_gts_derivatives(plan.xi_half, p)
 
-    def row(spectrum):
-        dq = np.where(keep, plan.raw(spectrum), 0.0)
-        return np.sum(dq[idx] * w, axis=1) / f
+    def row(d):
+        buffer = np.empty(plan.grid.n_points + 1, dtype=complex)
+        return s.apply(plan._raw_into(d * spectrum, buffer)) / f
 
     n_par = first.shape[0]
-    du = np.array([row(first[j] * cf) for j in range(n_par)])
+    du = np.array([row(first[j]) for j in range(n_par)])
     grad = du.sum(axis=1)
     hess = np.empty((n_par, n_par))
     for j in range(n_par):
         for k in range(j, n_par):
-            spectrum = first[j] * first[k]
+            d = first[j] * first[k]
             if (j, k) in second:
-                spectrum += second[j, k]
-            hess[j, k] = hess[k, j] = row(spectrum * cf).sum() - du[j] @ du[k]
+                d += second[j, k]
+            hess[j, k] = hess[k, j] = row(d).sum() - du[j] @ du[k]
     return grad, hess, live
 
 
 @pytest.mark.parametrize("sample, p, outlier", [
     ("equity_sample", EQUITY_PARAMS, None),
     ("crypto_sample", CRYPTO_PARAMS, None),
-    # far enough out that the grid density at all four stencil nodes is
-    # clipped ringing: the observation sits on the 1e-300 floor and drops out
-    # of both functionals
+    # far enough out that the density there is ringing, -1.3e-17: the
+    # observation sits on the 1e-300 floor and drops out of both functionals
     ("equity_sample", EQUITY_PARAMS, 53.0),
 ])
 def test_adjoint_hessian_matches_streamed_rows(sample, p, outlier, request):
@@ -241,9 +208,10 @@ def test_score_and_hessian_runs_three_transforms(equity_sample, monkeypatch):
 
 
 def test_c8_fit_transform_calls(c8_sample, monkeypatch):
-    # C8's whole fit: one irfft per evaluated point (fit_grid's 3 probes
-    # included), and one 7-row irfft and one rfft per accepted state; with
-    # the rows inverted one at a time the same fit made 157 irfft calls
+    # C8's whole fit: one irfft per evaluated point, and one 7-row irfft and
+    # one rfft per accepted state; fit_grid inverts nothing.  With the rows
+    # inverted one at a time, and fit_grid's 3 probes, the fit made 157
+    # irfft calls
     data, init = c8_sample
     calls = _count_transforms(monkeypatch)
     points = []
@@ -251,9 +219,9 @@ def test_c8_fit_transform_calls(c8_sample, monkeypatch):
     monkeypatch.setattr(estimation, "_density_at_data",
                         lambda stencil, p: points.append(p) or real(stencil, p))
     trace = fit(data, init, grad_tol=1e-3)
-    assert calls.count(("irfft", 1)) == len(points) == 24
+    assert calls.count(("irfft", 1)) == len(points) == 22
     assert calls.count(("irfft", 7)) == calls.count(("rfft", 1)) == len(trace.states) == 19
-    assert len(calls) == 24 + 2 * 19
+    assert len(calls) == 22 + 2 * 19
 
 
 def test_log_likelihood_plan_reuse_is_bit_identical():
@@ -307,28 +275,22 @@ def c8_sample():
     return data, moment_matched_init(data)
 
 
-def test_fit_grid_budget_on_c8(c8_sample):
-    # the first candidate, the first count whose Nyquist frequency reaches
-    # 1.5x the cutoff, is 4096; the stencil's error estimate there is 2.5e-5,
-    # above the budget, and 1.6e-6 at 8192, within it
+def test_fit_grid_oversampling_on_c8(c8_sample):
+    # the count is the first power of two whose oversampling pi / (dx xi_max)
+    # reaches 1.5: 4096 on C8's sample (1.69; 2048 points give 0.85).  Only
+    # the count is chosen: range and cutoff are those of a given count
     data, init = c8_sample
     g = fit_grid(data, init)
-    assert g.n_points == 8192
-    assert fit_grid(data, init, n_points=256).n_points == 256
-    # only the count is budgeted: range and cutoff are those of a given count
-    assert g == fit_grid(data, init, n_points=8192)
-    f = {n: estimation._density_at_data(
-             estimation._stencil(data, GridSpec(n, g.x_min, g.x_max, g.xi_max)), init)[-1]
-         for n in (4096, 8192, 16384)}
-    assert estimation._stencil_ll_error(f[4096], f[8192]) > estimation._STENCIL_LL_TOL
-    assert estimation._stencil_ll_error(f[8192], f[16384]) <= estimation._STENCIL_LL_TOL
+    assert g.n_points == 4096
+    assert g == fit_grid(data, init, n_points=4096)
+    assert oversampling(g) >= 1.5 > oversampling(fit_grid(data, init, n_points=2048))
 
 
 def test_fit_builds_one_stencil(c8_sample, monkeypatch):
-    # C8's recipe on a given grid: the fit builds its interpolation stencil
-    # once (the per-call route built one per evaluation, 22 here), and the
-    # public likelihood, score and Hessian at the start equal the fit's
-    # first state exactly
+    # C8's recipe: the fit builds its spreading stencil once (the per-call
+    # route built one per evaluation, 22 here), on the given grid or on
+    # fit_grid's, which itself builds none; the public likelihood, score and
+    # Hessian at the start equal the fit's first state exactly
     data, init = c8_sample
     g = fit_grid(data, init)
     built = []
@@ -338,6 +300,9 @@ def test_fit_builds_one_stencil(c8_sample, monkeypatch):
     trace = fit(data, init, grad_tol=1e-3, g=g)
     assert built == [g]
     assert trace.reason == "GradientTol" and len(trace.states) > 1
+    built.clear()
+    assert fit_grid(data, init) == g and built == []
+    assert fit(data, init, grad_tol=1e-3, max_iter=0).grid == g and built == [g]
     monkeypatch.undo()
     start = trace.states[0]
     grad, hess = score_and_hessian(data, init, g)
@@ -348,14 +313,14 @@ def test_fit_builds_one_stencil(c8_sample, monkeypatch):
 
 @pytest.mark.parametrize("grad_tol", [1e-3, 1e-4])
 def test_fit_matches_the_per_call_stencil_route(c8_sample, monkeypatch, grad_tol):
-    # the same trust-region loop on the per-call route (a fresh (m, 4)
-    # stencil per evaluation and np.sum over its axis of 4) visits the same
+    # the same trust-region loop on the per-call route (a fresh plan,
+    # stencil and pair of row buffers for every evaluation) visits the same
     # states, bit for bit
     data, init = c8_sample
     trace = fit(data, init, grad_tol=grad_tol)
-    monkeypatch.setattr(estimation, "_density_at_data",
-                        lambda stencil, p: per_call_density(data, p, stencil.plan))
-    monkeypatch.setattr(estimation, "_score_and_hessian", per_call_score_and_hessian)
+    real = estimation._density_at_data
+    monkeypatch.setattr(estimation, "_density_at_data", lambda stencil, p: real(
+        estimation._stencil(data, stencil.plan.grid), p))
     reference = fit(data, init, grad_tol=grad_tol)
     assert (trace.reason, trace.grid) == (reference.reason, reference.grid)
     assert len(trace.states) == len(reference.states) > 10
@@ -367,12 +332,12 @@ def test_fit_matches_the_per_call_stencil_route(c8_sample, monkeypatch, grad_tol
 
 
 def test_fit_on_the_budgeted_grid_matches_16384_points(c8_sample):
-    # the budget's gate: C8's fit on its 8192-point grid reaches the optimum
-    # of a 16384-point grid
+    # the kernel's error is budgeted by the grid's oversampling: C8's fit on
+    # its 4096-point grid reaches the optimum of a 16384-point grid
     data, init = c8_sample
     budgeted = fit(data, init, grad_tol=1e-3)
     fine = fit(data, init, grad_tol=1e-3, g=fit_grid(data, init, n_points=16384))
-    assert budgeted.grid.n_points == 8192 and fine.grid.n_points == 16384
+    assert budgeted.grid.n_points == 4096 and fine.grid.n_points == 16384
     assert budgeted.reason == fine.reason == "GradientTol"
     assert budgeted.final.log_likelihood == pytest.approx(fine.final.log_likelihood,
                                                           rel=0.0, abs=1e-6)
@@ -396,39 +361,40 @@ def test_fit_grid_likelihood_matches_a_reference_grid(p):
             log_likelihood(data, q, ref), rel=0.0, abs=1e-6)
 
 
-def test_fit_grid_refuses_past_the_cap(c8_sample, monkeypatch):
-    # a budget no grid meets: the doubling stops at the cap, builds no grid
-    # beyond it, and names the cause
+@pytest.mark.parametrize("p", [EQUITY_PARAMS, CRYPTO_PARAMS], ids=["c8", "crypto-4"])
+def test_likelihood_density_matches_the_direct_sum(p):
+    # C8's recipe (crypto seed 4 on the crypto preset): at the fit's final
+    # point the kernel's f at every observation is within 1e-8 relative of
+    # the trapezoid sum taken term by term.  The cubic stencil erred by up to
+    # 5.1e-8 and 8.7e-6 there
+    data = sample_marginal(p, Marginal.GTS, 5000, np.random.default_rng(4))
+    trace = fit(data, moment_matched_init(data), grad_tol=1e-3)
+    s = estimation._stencil(data, trace.grid)
+    f = estimation._density_at_data(s, trace.final.params)[-1]
+    ref = direct_density(data, trace.final.params, s.plan)
+    assert s.plan.grid == trace.grid
+    assert np.max(np.abs(f - ref) / ref) <= 1e-8
+    assert np.sum(np.log(f)) == trace.final.log_likelihood
+
+
+@pytest.mark.parametrize("n_points", [256, 1024])
+def test_fit_refines_a_coarse_given_grid(c8_sample, n_points):
+    # a given count stays in the GridSpec; the fit's plan doubles it to the
+    # first count whose oversampling reaches 1.5 (the kernel erred by 560%
+    # at 0.44), reports that grid, and its l is the direct sum's to 1e-8
     data, init = c8_sample
-    monkeypatch.setattr(estimation, "_STENCIL_LL_TOL", 0.0)
-    monkeypatch.setattr(estimation, "_FIT_GRID_CAP", 2**14)
-    original = estimation._density_at_data
-    built = []
-
-    def spy(stencil, p):
-        built.append(stencil.plan.grid.n_points)
-        return original(stencil, p)
-
-    monkeypatch.setattr(estimation, "_density_at_data", spy)
-    with pytest.raises(NormalizationError, match="stencil's log-likelihood error"):
-        fit_grid(data, init)
-    assert built == [4096, 8192, 16384]
-    with pytest.raises(NormalizationError, match="16384"):
-        fit(data, init)
-
-
-def test_fit_reuses_the_stencil_fit_grid_chose(c8_sample, monkeypatch):
-    # with no grid given, the fit takes the plan, stencil and start density
-    # that fit_grid built on the grid it chose, and builds no stencil itself
-    data, init = c8_sample
-    real, built = estimation._stencil, []
-    monkeypatch.setattr(estimation, "_stencil",
-                        lambda data, g: built.append(g.n_points) or real(data, g))
-    fit_grid(data, init)
-    probes, built[:] = list(built), []
-    trace = fit(data, init, grad_tol=1e-3, max_iter=0)
-    assert built == probes == [4096, 8192, 16384]
-    assert trace.grid.n_points == 8192
+    g = fit_grid(data, init, n_points=n_points)
+    assert g.n_points == n_points and oversampling(g) < 1.5
+    trace = fit(data, init, max_iter=0, g=g)
+    n = trace.grid.n_points
+    assert trace.grid == GridSpec(n, g.x_min, g.x_max, g.xi_max)
+    assert oversampling(trace.grid) >= 1.5 > oversampling(GridSpec(n // 2, g.x_min, g.x_max,
+                                                                   g.xi_max))
+    f = direct_density(data, init, InversionPlan(trace.grid))
+    assert trace.final.log_likelihood == pytest.approx(np.sum(np.log(f)), rel=1e-8)
+    s = estimation._stencil(data, g)
+    assert s.plan.grid == trace.grid
+    np.testing.assert_allclose(estimation._density_at_data(s, init)[-1], f, rtol=1e-8)
 
 
 def test_log_likelihood_permutation_invariant(equity_sample):
@@ -649,7 +615,6 @@ def test_fit_rejects_unusable_tolerances(compact_fit, monkeypatch, kwargs, cause
     # refused before any grid is planned
     data, _, _ = compact_fit
     monkeypatch.setattr(estimation, "fit_grid", None)
-    monkeypatch.setattr(estimation, "_fit_grid", None)
     with pytest.raises(ValueError, match=cause):
         fit(data, moment_matched_init(data), **kwargs)
 
@@ -714,11 +679,13 @@ def test_fit_on_the_beta_ridge_stops_with_a_reason():
 def test_fit_converges_on_equity_seed_6():
     # C8's recipe at rng seed 6: the optimum is interior, and the fit reaches
     # the gradient tolerance there (scipy's trust-exact stopped NoProgress at
-    # |g| 2.0e-4 with this log-likelihood)
+    # |g| 2.0e-4).  The term-by-term trapezoid sum gives l = -6823.832668673
+    # at the final point; the cubic stencil on 8192 points read
+    # -6823.832668645
     data = sample_marginal(EQUITY_PARAMS, Marginal.GTS, 5000, np.random.default_rng(6))
     trace = fit(data, moment_matched_init(data), grad_tol=1e-4)
     assert trace.reason == "GradientTol"
-    assert trace.final.log_likelihood == pytest.approx(-6823.832668644635, rel=0.0, abs=1e-8)
+    assert trace.final.log_likelihood == pytest.approx(-6823.8326686738965, rel=0.0, abs=1e-8)
     assert _monotone(trace)
 
 

@@ -24,8 +24,8 @@ from gtsou import (
     quantile,
 )
 from gtsou import inversion
-from gtsou.frft import phase_mod2
 from gtsou.inversion import InversionPlan, half_frequencies
+from trapezoid_sum import direct_sum
 
 
 def gaussian_exponent(mu=0.3, sigma=1.7):
@@ -36,30 +36,10 @@ def gaussian_pdf(x, mu=0.3, sigma=1.7):
     return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
 
 
-def direct_raw(g, s, nodes=None):
-    """The trapezoid sum (dxi/2pi) sum_{|k| <= K} w_k s_k e^(-i k dxi x) on the
-    x nodes (or on the node indices ``nodes``), term by term: w = 1/2 at
-    |k| = K, dxi = pi/(n dx), K the first index with K dxi >= xi_max, and
-    s_(-k) = conj(s_k)."""
-    n = g.n_points
-    nodes = np.arange(n) if nodes is None else np.asarray(nodes)
-    dx = (g.x_max - g.x_min) / (n - 1)
-    dxi = np.pi / (n * dx)
-    k = np.arange(int(np.ceil(g.xi_max / dxi)) + 1)
-    assert k[-1] * dxi >= g.xi_max > (k[-1] - 1) * dxi
-    w = np.where(k == k[-1], 0.5, 1.0) * np.where(k > 0, 2.0, 1.0)
-    out = np.empty(nodes.size)
-    for part in np.array_split(np.arange(nodes.size), max(1, nodes.size * k.size // 2**20)):
-        phase = np.exp(-1j * np.pi * (phase_mod2(g.x_min / (n * dx), k)
-                                      + phase_mod2(1.0 / n, np.outer(nodes[part], k))))
-        out[part] = dxi / (2.0 * np.pi) * np.real(phase @ (w * s))
-    return out
-
-
 def direct_pdf(exponent, g):
-    """``direct_raw`` of the characteristic function, clipped and renormalized
+    """``direct_sum`` of the characteristic function, clipped and renormalized
     like ``invert_cf``, and the mass it was divided by."""
-    pdf = direct_raw(g, np.exp(exponent(half_frequencies(g))))
+    pdf = direct_sum(g, np.exp(exponent(half_frequencies(g))))
     pdf = np.where(pdf < 0.0, 0.0, pdf)
     mass = float(np.trapezoid(pdf, np.linspace(g.x_min, g.x_max, g.n_points)))
     return pdf / mass, mass
@@ -333,7 +313,7 @@ def test_folded_table_matches_direct_trapezoid_sum():
     assert g.n_points == 16384 and half_frequencies(g).size - 1 > 2 * g.n_points
     d = invert_cf(bdlp, g)
     nodes = np.linspace(0, g.n_points - 1, 64).round().astype(int)
-    ref = np.maximum(direct_raw(g, np.exp(bdlp(half_frequencies(g))), nodes), 0.0)
+    ref = np.maximum(direct_sum(g, np.exp(bdlp(half_frequencies(g))), nodes), 0.0)
     np.testing.assert_allclose(d.pdf[nodes], ref / d.raw_mass, rtol=0.0, atol=1e-12)
     assert d.pdf[nodes].max() > 0.01  # the nodes reach the bulk, not only the tails
 
@@ -451,7 +431,7 @@ _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=
 @given(grids_and_spectra())
 def test_raw_matches_direct_trapezoid_sum(case):
     g, s, _ = case
-    ref = direct_raw(g, s)
+    ref = direct_sum(g, s)
     np.testing.assert_allclose(InversionPlan(g).raw(s), ref, rtol=0.0,
                                atol=1e-12 * np.abs(ref).max())
 

@@ -98,16 +98,32 @@ def test_scipy_is_imported_only_at_its_allowed_sites():
 
 
 def test_package_modules_load_no_numpy_polynomial():
-    # the Gauss-Legendre rule is written out: no route imports numpy.polynomial
+    # the Gauss-Legendre rule is written out: no route imports numpy.polynomial,
+    # neither at import nor when the likelihood builds its spreading kernel,
+    # whose transform takes the same rule (_GL8_NODES, _GL8_WEIGHTS)
     src = os.path.join(ROOT, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, gtsou.cli, gtsou.estimation, gtsou.ou; "
+        [sys.executable, "-c", "import sys, numpy as np, gtsou.cli, gtsou.estimation, gtsou.ou; "
+                               "from gtsou import EQUITY_PARAMS as p; "
+                               "x = np.linspace(-1.0, 1.0, 50); "
+                               "gtsou.estimation.log_likelihood(x, p, gtsou.fit_grid(x, p)); "
                                "print(sorted(m for m in sys.modules "
                                "if m.startswith('numpy.polynomial')))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # and no source file reaches numpy.polynomial by attribute or import
+    src = os.path.join(src, "gtsou")
+    for filename in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, filename)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            assert not any("polynomial" in name or name == "leggauss" for name in names), \
+                (filename, node.lineno)
 
 
 def _load_benchmark_module(name):
