@@ -287,10 +287,10 @@ def test_fit_grid_oversampling_on_c8(c8_sample):
 
 
 def test_fit_builds_one_stencil(c8_sample, monkeypatch):
-    # C8's recipe: the fit builds its spreading stencil once (the per-call
-    # route built one per evaluation, 22 here), on the given grid or on
-    # fit_grid's, which itself builds none; the public likelihood, score and
-    # Hessian at the start equal the fit's first state exactly
+    # C8's recipe on a given grid: the fit builds its spreading stencil once
+    # (the per-call route built one per evaluation, 22 here), and the public
+    # likelihood, score and Hessian at the start equal the fit's first state
+    # exactly
     data, init = c8_sample
     g = fit_grid(data, init)
     built = []
@@ -300,15 +300,26 @@ def test_fit_builds_one_stencil(c8_sample, monkeypatch):
     trace = fit(data, init, grad_tol=1e-3, g=g)
     assert built == [g]
     assert trace.reason == "GradientTol" and len(trace.states) > 1
-    built.clear()
-    assert fit_grid(data, init) == g and built == []
-    assert fit(data, init, grad_tol=1e-3, max_iter=0).grid == g and built == [g]
     monkeypatch.undo()
     start = trace.states[0]
     grad, hess = score_and_hessian(data, init, g)
     assert log_likelihood(data, init, g) == start.log_likelihood
     assert np.array_equal(grad, start.gradient)
     assert np.array_equal(hess, start.hessian)
+
+
+def test_fit_reuses_the_stencil_fit_grid_chose(c8_sample, monkeypatch):
+    # with no grid given, fit_grid builds no stencil and the fit builds
+    # exactly one, on the grid fit_grid chose
+    data, init = c8_sample
+    real, built = estimation._stencil, []
+    monkeypatch.setattr(estimation, "_stencil",
+                        lambda data, g: built.append(g) or real(data, g))
+    g = fit_grid(data, init)
+    assert built == []
+    trace = fit(data, init, grad_tol=1e-3, max_iter=0)
+    assert built == [g] == [trace.grid]
+    assert trace.grid.n_points == 4096
 
 
 @pytest.mark.parametrize("grad_tol", [1e-3, 1e-4])
